@@ -16,13 +16,14 @@ import sys
 import numpy as np
 
 from . import bounds as bounds_mod
+from . import solver
 from .density import density_curve
 from .distributions import DiscreteInput
 from .kernel import ChannelSpec, binomial_entropy_exact, binomial_entropy_lower, \
     binomial_entropy_upper
 from .oracles import exact_solution
 from .serialize import atomic_write, dumps, format_real
-from .solver import SolverConfig, kkt_verify, report_for_distribution, solve_capacity
+from .solver import SolverConfig, report_for_distribution, solve_capacity
 
 _LN2 = float(np.log(2.0))
 
@@ -35,7 +36,6 @@ def _solver_config(args) -> SolverConfig:
         merge_radius=args.merge_radius,
         prune_weight=args.prune_weight,
         max_outer_iters=args.max_outer_iters,
-        symmetrize=not args.no_symmetrize,
     )
 
 
@@ -52,8 +52,6 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
                    help="atom drop threshold (default 1e-12)")
     p.add_argument("--max-outer-iters", type=int, default=200,
                    help="outer iteration cap (default 200)")
-    p.add_argument("--no-symmetrize", action="store_true",
-                   help="disable mirror symmetrization of the support")
 
 
 def _add_output_flags(p: argparse.ArgumentParser) -> None:
@@ -176,10 +174,7 @@ def _cmd_verify(args) -> int:
     with open(args.dist) as fh:
         payload = json.load(fh)
     dist = DiscreteInput.from_dict(payload)
-    spec = ChannelSpec(args.n)
-    report = report_for_distribution(dist, spec, grid_size=args.grid_size,
-                                     tol=args.kkt_tol)
-    summary = kkt_verify(report, spec, grid_size=args.grid_size, tol=args.kkt_tol)
+    summary, _, _ = solver._certify(dist, ChannelSpec(args.n), args.grid_size, args.kkt_tol)
     out = {
         "n": args.n,
         "capacity_nats": summary.capacity_nats,

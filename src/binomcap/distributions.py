@@ -118,6 +118,25 @@ def kl_divergence(p, q) -> float:
     return float(np.sum(p[mask] * (np.log(p[mask]) - np.log(q[mask]))))
 
 
+def _info_terms(spec: ChannelSpec, xs: np.ndarray, logP: np.ndarray, P: np.ndarray,
+                logq: np.ndarray, interior=slice(0, 0)):
+    """Information density rows and, at the rows `interior`, their slope.
+
+    Given the channel rows logP = log P(.|xs), P = exp(logP) and a frozen
+    log q, returns (i, P', i') with i(x) = sum_y P (log P - log q) under the
+    0 log 0 = 0 convention, P' = dP/dx on the interior rows (0 < x < 1; none
+    by default) and i'(x) = sum_y P' (log P - log q) there.
+    """
+    n = spec.n
+    y = np.arange(n + 1)
+    xi = xs[interior]
+    Pp = P[interior] * (y[None, :] - n * xi[:, None]) / (xi * (1.0 - xi))[:, None]
+    with np.errstate(invalid="ignore"):
+        ival = np.sum(np.where(P > 0, P * (logP - logq), 0.0), axis=1)
+        ip = np.sum(Pp * (logP[interior] - logq), axis=1)
+    return ival, Pp, ip
+
+
 def _info_density_against_logq(spec: ChannelSpec, xs, logq: np.ndarray,
                                chunk: int = 200_000) -> np.ndarray:
     """i(x) = D(P(.|x) || q) for an array of x, given log q."""
@@ -126,10 +145,7 @@ def _info_density_against_logq(spec: ChannelSpec, xs, logq: np.ndarray,
     for s in range(0, len(xs), max(1, chunk // (spec.n + 1))):
         e = s + max(1, chunk // (spec.n + 1))
         logP = log_pmf_matrix(spec, xs[s:e])
-        P = np.exp(logP)
-        with np.errstate(invalid="ignore"):
-            contrib = np.where(P > 0, P * (logP - logq), 0.0)
-        out[s:e] = np.sum(contrib, axis=1)
+        out[s:e] = _info_terms(spec, xs[s:e], logP, np.exp(logP), logq)[0]
     return out
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import gammaln, xlog1py, xlogy
@@ -44,10 +45,13 @@ def _check_x(x) -> float:
     return x
 
 
+@lru_cache(maxsize=64)
 def log_binom_coeffs(n: int) -> np.ndarray:
-    """log C(n, y) for y = 0..n."""
+    """log C(n, y) for y = 0..n, cached per n; the array is read-only."""
     y = np.arange(n + 1)
-    return gammaln(n + 1) - gammaln(y + 1) - gammaln(n - y + 1)
+    out = gammaln(n + 1) - gammaln(y + 1) - gammaln(n - y + 1)
+    out.setflags(write=False)
+    return out
 
 
 def log_pmf_matrix(spec: ChannelSpec, xs) -> np.ndarray:
@@ -70,8 +74,7 @@ def log_pmf(spec: ChannelSpec, y: int, x: float) -> float:
         raise ValueError(f"y must be in [0, {spec.n}], got {y}")
     x = _check_x(x)
     n = spec.n
-    comb = gammaln(n + 1) - gammaln(y + 1) - gammaln(n - y + 1)
-    return float(comb + xlogy(y, x) + xlog1py(n - y, -x))
+    return float(log_binom_coeffs(n)[y] + xlogy(y, x) + xlog1py(n - y, -x))
 
 
 def pmf_row(spec: ChannelSpec, x: float) -> np.ndarray:

@@ -19,7 +19,7 @@ The solve pipeline works in three layers:
 
 Weights are always re-optimized by Blahut-Arimoto between structure moves,
 and the support is kept exactly mirror-symmetric (fold to [0, 1/2], merge,
-emit pairs) unless symmetrization is disabled.
+emit pairs), as the unique optimizer is.
 """
 
 from __future__ import annotations
@@ -38,8 +38,8 @@ from .distributions import (
     induce_output,
     log_output_pmf,
     _info_density_against_logq,
+    _info_terms,
 )
-from .density import info_density_prime, info_density_second
 from .kernel import ChannelSpec, log_pmf_matrix
 
 log = logging.getLogger(__name__)
@@ -58,7 +58,6 @@ class SolverConfig:
     merge_radius: float = 1e-4
     prune_weight: float = 1e-12
     max_outer_iters: int = 200
-    symmetrize: bool = True
 
     def __post_init__(self):
         if self.grid_size < 3 or self.grid_size % 2 == 0:
@@ -218,7 +217,7 @@ def _merge_sorted(pts: np.ndarray, ws: np.ndarray, radius: float):
     return np.asarray(out_p), np.asarray(out_w)
 
 
-def _fold_symmetrize(pts: np.ndarray, ws: np.ndarray, radius: float):
+def _fold_mirror(pts: np.ndarray, ws: np.ndarray, radius: float):
     """Exactly mirror-symmetric copy: fold onto [0, 1/2], merge, emit pairs.
 
     Folding first makes the merge direction-independent, so the result is
@@ -271,118 +270,50 @@ def _seed_support(spec: ChannelSpec, config: SolverConfig):
     pts, wts = _merge_sorted(pts, wts, 3.0 / config.grid_size)
     pts[0], pts[-1] = 0.0, 1.0
     wts = wts / wts.sum()
-    if config.symmetrize:
-        pts, wts = _fold_symmetrize(pts, wts, config.merge_radius)
-    return pts, wts
-
-
-# ---------------------------------------------------------------------------
-# refine_support: frozen-output Newton polish of atom positions
-# ---------------------------------------------------------------------------
-
-def refine_support(spec: ChannelSpec, coarse: DiscreteInput,
-                   config: SolverConfig | None = None) -> DiscreteInput:
-    """Move interior atoms to roots of the density derivative, then merge.
-
-    The derivative is evaluated against the output induced by `coarse`
-    (frozen for the whole pass).  Each atom runs a Newton iteration clipped
-    to the midpoints toward its neighbors; where the local curvature has the
-    wrong sign the atom falls back to bisection on a bracket with a
-    derivative sign change, or stays in place if no bracket exists.
-    Endpoint atoms at 0 and 1 never move.  Atoms within merge_radius are
-    merged (weights summed, positions weight-averaged) and the result is
-    mirror-symmetrized when enabled.
-    """
-    config = config or SolverConfig()
-    pts = np.array(coarse.points, dtype=float)
-    ws = np.array(coarse.weights, dtype=float)
-    interior = np.flatnonzero((pts > 0.0) & (pts < 1.0))
-    if len(interior):
-        lo_b = np.where(interior > 0, 0.5 * (pts[interior - 1] + pts[interior]), 1e-9)
-        hi_b = np.where(interior < len(pts) - 1,
-                        0.5 * (pts[interior] + pts[np.minimum(interior + 1, len(pts) - 1)]),
-                        1.0 - 1e-9)
-        lo_b = np.maximum(lo_b, 1e-9)
-        hi_b = np.minimum(hi_b, 1.0 - 1e-9)
-        xi = pts[interior].copy()
-        stuck = np.zeros(len(xi), dtype=bool)
-        for _ in range(60):
-            d1 = info_density_prime(xi, coarse, spec)
-            d2 = info_density_second(xi, coarse, spec)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                step = d1 / d2
-            usable = (d2 < 0) & np.isfinite(step)
-            stuck |= ~usable
-            cand = np.where(usable, xi - step, xi)
-            cand = np.minimum(np.maximum(cand, lo_b), hi_b)
-            if np.abs(cand - xi).max() < 1e-15:
-                xi = cand
-                break
-            xi = cand
-        for j in np.flatnonzero(stuck):
-            root = _bisect_derivative(coarse, spec, lo_b[j], hi_b[j])
-            if root is None:
-                log.debug("refine_support: no derivative bracket around atom %g; left in place",
-                          pts[interior[j]])
-            else:
-                xi[j] = root
-        pts[interior] = xi
-    order = np.argsort(pts, kind="stable")
-    pts, ws = _merge_sorted(pts[order], ws[order], config.merge_radius)
-    pts[0] = 0.0 if coarse.points[0] == 0.0 else pts[0]
-    pts[-1] = 1.0 if coarse.points[-1] == 1.0 else pts[-1]
-    if config.symmetrize:
-        pts, ws = _fold_symmetrize(pts, ws, config.merge_radius)
-    return DiscreteInput(pts, ws / ws.sum())
-
-
-def _bisect_derivative(dist: DiscreteInput, spec: ChannelSpec, a: float, b: float):
-    """Bisection for a + -> - sign change of the density derivative, if any."""
-    fa = info_density_prime(a, dist, spec)
-    fb = info_density_prime(b, dist, spec)
-    if not (fa > 0 > fb):
-        return None
-    for _ in range(80):
-        m = 0.5 * (a + b)
-        fm = info_density_prime(m, dist, spec)
-        if fm > 0:
-            a = m
-        else:
-            b = m
-        if b - a < 1e-15:
-            break
-    return 0.5 * (a + b)
+    return _fold_mirror(pts, wts, config.merge_radius)
 
 
 # ---------------------------------------------------------------------------
 # joint optimality-system Newton (internal)
 # ---------------------------------------------------------------------------
 
-def _kkt_system(spec: ChannelSpec, pts: np.ndarray, w: np.ndarray, C: float):
-    """Residual and Jacobian of the stationarity system in (w, x_int, C).
+def _kkt_residual(spec: ChannelSpec, pts: np.ndarray, w: np.ndarray, C: float):
+    """Residual of the stationarity system in (w, x_int, C).
 
     Rows: i(x_k) - C for every atom, the density derivative at interior
-    atoms, and the weight normalization.  Weights enter linearly so the
-    Newton solution signals superfluous atoms by negative weights.
-    Returns (None, ...) when some output is starved of probability.
+    atoms, and the weight normalization.  Returns (F, i(x_k), terms), where
+    terms = (logP, P, q, logq, P', i') feed the Jacobian, or (None, None,
+    None) when some output is starved of probability.
     """
-    n = spec.n
-    K = len(pts)
     interior = np.flatnonzero((pts > 0.0) & (pts < 1.0))
-    m = len(interior)
     logP = log_pmf_matrix(spec, pts)
     P = np.exp(logP)
     q = w @ P
     if np.any(q <= 0.0):
         return None, None, None
     logq = np.log(q)
-    with np.errstate(invalid="ignore"):
-        ival = np.sum(np.where(P > 0, P * (logP - logq), 0.0), axis=1)
+    ival, Pp, ip = _info_terms(spec, pts, logP, P, logq, interior)
+    F = np.concatenate([ival - C, ip, [w.sum() - 1.0]])
+    return F, ival, (logP, P, q, logq, Pp, ip)
+
+
+def _kkt_system(spec: ChannelSpec, pts: np.ndarray, w: np.ndarray, C: float):
+    """Residual and Jacobian of the stationarity system in (w, x_int, C).
+
+    Weights enter linearly so the Newton solution signals superfluous atoms
+    by negative weights.  Returns (None, ...) when some output is starved of
+    probability.
+    """
+    F, ival, terms = _kkt_residual(spec, pts, w, C)
+    if F is None:
+        return None, None, None
+    logP, P, q, logq, Pp, ip = terms
+    n = spec.n
+    K = len(pts)
+    interior = np.flatnonzero((pts > 0.0) & (pts < 1.0))
+    m = len(interior)
     xi = pts[interior]
     y = np.arange(n + 1)
-    Pp = P[interior] * (y[None, :] - n * xi[:, None]) / (xi * (1.0 - xi))[:, None]
-    ip = np.sum(Pp * (logP[interior] - logq), axis=1)
-    F = np.concatenate([ival - C, ip, [w.sum() - 1.0]])
 
     Pq = P / q
     J = np.zeros((K + m + 1, K + m + 1))
@@ -417,10 +348,10 @@ def _kkt_newton(spec: ChannelSpec, pts: np.ndarray, w: np.ndarray,
     w = w.copy()
     interior = np.flatnonzero((pts > 0.0) & (pts < 1.0))
     K, m = len(pts), len(interior)
-    first = _kkt_system(spec, pts, w, 0.0)
-    if first[0] is None:
+    F, ival, _ = _kkt_residual(spec, pts, w, 0.0)
+    if F is None:
         return pts, w, "stall", np.inf
-    C = float(w @ first[2])
+    C = float(w @ ival)
     fn = np.inf
     for _ in range(max_iter):
         F, J, _ = _kkt_system(spec, pts, w, C)
@@ -444,7 +375,7 @@ def _kkt_newton(spec: ChannelSpec, pts: np.ndarray, w: np.ndarray,
                     hi_b = 0.5 * (pts[interior] + pts[interior + 1])
                     npts[interior] = np.minimum(np.maximum(xi, lo_b), hi_b)
                 nC = C + damp * step[K + m]
-                F2 = _kkt_system(spec, npts, nw, nC)[0]
+                F2 = _kkt_residual(spec, npts, nw, nC)[0]
                 if F2 is not None and np.abs(F2).max() < fn:
                     return npts, nw, nC
             return None
@@ -482,10 +413,8 @@ def _ascend_information(spec: ChannelSpec, pts: np.ndarray, ws: np.ndarray):
     when individual atom positions are poorly determined.
     """
     pts = pts.copy()
-    n = spec.n
     K = len(pts)
     interior = np.flatnonzero((pts > 0.0) & (pts < 1.0))
-    y = np.arange(n + 1)
 
     def unpack(z):
         w = np.exp(z[:K] - logsumexp(z[:K]))
@@ -497,14 +426,10 @@ def _ascend_information(spec: ChannelSpec, pts: np.ndarray, ws: np.ndarray):
         w, x = unpack(z)
         logP = log_pmf_matrix(spec, x)
         P = np.exp(logP)
-        q = np.maximum(w @ P, _TINY_Q)
-        logq = np.log(q)
-        with np.errstate(invalid="ignore"):
-            ival = np.sum(np.where(P > 0, P * (logP - logq), 0.0), axis=1)
+        logq = np.log(np.maximum(w @ P, _TINY_Q))
+        ival, _, ip = _info_terms(spec, x, logP, P, logq, interior)
         I = float(w @ ival)
         xi = x[interior]
-        Pp = P[interior] * (y[None, :] - n * xi[:, None]) / (xi * (1.0 - xi))[:, None]
-        ip = np.sum(Pp * (logP[interior] - logq), axis=1)
         grad = np.concatenate([w * (ival - I), w[interior] * ip * xi * (1.0 - xi)])
         return -I, -grad
 
@@ -517,10 +442,11 @@ def _ascend_information(spec: ChannelSpec, pts: np.ndarray, ws: np.ndarray):
     return x[order], w[order]
 
 
-def _drop_atom(pts: np.ndarray, ws: np.ndarray, j: int, mirror: bool):
+def _drop_atom(pts: np.ndarray, ws: np.ndarray, j: int):
+    """Remove atom j together with its mirror image."""
     keep = np.ones(len(pts), dtype=bool)
     keep[j] = False
-    if mirror and abs(pts[j] - 0.5) > 1e-12:
+    if abs(pts[j] - 0.5) > 1e-12:
         jm = int(np.argmin(np.abs(pts - (1.0 - pts[j]))))
         if abs(pts[jm] - (1.0 - pts[j])) < 1e-9:
             keep[jm] = False
@@ -533,12 +459,7 @@ def _clean_structure(pts, ws, config: SolverConfig, drop_w: float):
     keep = ws > drop_w
     keep[0] = keep[-1] = True
     pts, ws = pts[keep], ws[keep] / ws[keep].sum()
-    if config.symmetrize:
-        pts, ws = _fold_symmetrize(pts, ws, config.merge_radius)
-    else:
-        pts, ws = _merge_sorted(pts, ws, config.merge_radius)
-        pts[0], pts[-1] = 0.0, 1.0
-        ws = ws / ws.sum()
+    pts, ws = _fold_mirror(pts, ws, config.merge_radius)
     return pts, ws, len(pts) != before
 
 
@@ -559,7 +480,7 @@ def _polish(spec: ChannelSpec, pts: np.ndarray, ws: np.ndarray, config: SolverCo
             if npts[j] in (0.0, 1.0):
                 break
             log.debug("polish: dropping atom %.6f (weight %.2e)", npts[j], nw[j])
-            pts, ws = _drop_atom(npts, nw, j, config.symmetrize)
+            pts, ws = _drop_atom(npts, nw, j)
             ws = np.maximum(ws, config.prune_weight)
             ws = ws / ws.sum()
         else:
@@ -573,12 +494,7 @@ def _polish(spec: ChannelSpec, pts: np.ndarray, ws: np.ndarray, config: SolverCo
                 tight = float(np.diff(pts).min()) if len(pts) > 1 else np.inf
                 if tight < max(10 * config.merge_radius, 0.5 / spec.n):
                     log.debug("polish: collapsing cluster at gap %.2e", tight)
-                    if config.symmetrize:
-                        pts, ws = _fold_symmetrize(pts, ws, 1.5 * tight)
-                    else:
-                        pts, ws = _merge_sorted(pts, ws, 1.5 * tight)
-                        pts[0], pts[-1] = 0.0, 1.0
-                        ws = ws / ws.sum()
+                    pts, ws = _fold_mirror(pts, ws, 1.5 * tight)
                 else:
                     return pts, ws
         npts, nw, status, fn = _kkt_newton(spec, pts, ws)
@@ -671,6 +587,12 @@ def report_for_distribution(dist: DiscreteInput, spec: ChannelSpec,
     summary, _, _ = _certify(dist, spec, grid_size, tol)
     ok = (summary.slack <= tol and summary.equality_defect <= tol) \
         if converged is None else converged
+    return _report(spec, dist, summary, iterations, ok)
+
+
+def _report(spec: ChannelSpec, dist: DiscreteInput, summary: KktSummary,
+            iterations: int, converged: bool) -> SolveReport:
+    """SolveReport of a distribution from its certification summary."""
     flags = dict(summary.flags)
     flags["equality_defect"] = summary.equality_defect
     flags["symmetry_defect"] = summary.symmetry_defect
@@ -684,7 +606,7 @@ def report_for_distribution(dist: DiscreteInput, spec: ChannelSpec,
         support_size=len(dist),
         active_set_estimate=summary.active_set,
         iterations=iterations,
-        converged=ok,
+        converged=converged,
         flags=flags,
         n=spec.n,
     )
@@ -730,7 +652,7 @@ def solve_capacity(spec: ChannelSpec, config: SolverConfig | None = None) -> Sol
                                       config.kkt_tol, config.merge_radius)
         best = (dist, summary, outer)
         if summary.slack <= config.kkt_tol and summary.equality_defect <= config.kkt_tol:
-            return _final_report(spec, config, dist, summary, outer, converged=True)
+            return _report(spec, dist, summary, outer, converged=True)
 
         new_pts = _escape_candidates(xs, ivals, summary.capacity_nats, pts,
                                      config)
@@ -749,15 +671,15 @@ def solve_capacity(spec: ChannelSpec, config: SolverConfig | None = None) -> Sol
     log.warning("solve_capacity(n=%d): not certified after %d outer iterations "
                 "(slack %.2e, defect %.2e)", n, outer, summary.slack,
                 summary.equality_defect)
-    return _final_report(spec, config, dist, summary, outer, converged=False)
+    return _report(spec, dist, summary, outer, converged=False)
 
 
 def _escape_candidates(xs, ivals, cap, pts, config: SolverConfig) -> np.ndarray:
     """Positions where the density still exceeds capacity: next support atoms.
 
-    Takes the single largest strict local maximum of the slack (its mirror is
-    added under symmetrization), ignoring peaks that are just unconverged
-    copies of existing atoms.
+    Takes the single largest strict local maximum of the slack together with
+    its mirror, ignoring peaks that are just unconverged copies of existing
+    atoms.
     """
     s = ivals - cap
     if not np.all(np.isfinite(s)):
@@ -771,26 +693,5 @@ def _escape_candidates(xs, ivals, cap, pts, config: SolverConfig) -> np.ndarray:
         new = np.array([xs[loc[np.argmax(s[loc])]]])
     gap_min = float(np.diff(pts).min()) if len(pts) > 1 else 0.1
     radius = max(5 * config.merge_radius, 0.25 * gap_min)
-    if config.symmetrize:
-        new = np.unique(np.concatenate([new, 1.0 - new]))
+    new = np.unique(np.concatenate([new, 1.0 - new]))
     return new[np.min(np.abs(new[:, None] - pts[None, :]), axis=1) > radius]
-
-
-def _final_report(spec, config, dist, summary, iterations, converged) -> SolveReport:
-    flags = dict(summary.flags)
-    flags["equality_defect"] = summary.equality_defect
-    flags["symmetry_defect"] = summary.symmetry_defect
-    flags["active_set_size"] = len(summary.active_set)
-    return SolveReport(
-        input=dist,
-        output=induce_output(dist, spec),
-        capacity_nats=summary.capacity_nats,
-        kkt_slack=summary.slack,
-        equality_defect=summary.equality_defect,
-        support_size=len(dist),
-        active_set_estimate=summary.active_set,
-        iterations=iterations,
-        converged=converged,
-        flags=flags,
-        n=spec.n,
-    )

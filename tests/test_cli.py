@@ -101,6 +101,34 @@ class TestVerifyCommand:
         assert code == 2
         assert "increasing" in err
 
+    def test_certifies_once(self, capsys, tmp_path, monkeypatch):
+        import binomcap.solver
+
+        calls = []
+        certify = binomcap.solver._certify
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return certify(*args, **kwargs)
+
+        monkeypatch.setattr(binomcap.solver, "_certify", counted)
+        dist = tmp_path / "dist.json"
+        dist.write_text(json.dumps({"points": [0.0, 0.5, 1.0],
+                                    "weights": [0.3, 0.4, 0.3]}))
+        code, _, _ = run_cli(capsys, "verify", "--n", "4", "--dist", str(dist))
+        assert code == 0
+        assert len(calls) == 1
+
+    def test_answers_at_max_trials(self, capsys, tmp_path):
+        dist = tmp_path / "dist.json"
+        dist.write_text(json.dumps({"points": [0.0, 0.2, 0.5, 0.8, 1.0],
+                                    "weights": [0.3, 0.15, 0.1, 0.15, 0.3]}))
+        code, out, _ = run_cli(capsys, "verify", "--n", "4096", "--dist", str(dist),
+                               "--grid-size", "2049")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["kkt_slack"] > 1e-6
+
     def test_bad_weight_sum(self, capsys, tmp_path):
         dist = tmp_path / "bad.json"
         dist.write_text(json.dumps({"points": [0.2, 0.8], "weights": [0.7, 0.7]}))

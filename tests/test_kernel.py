@@ -14,7 +14,7 @@ from binomcap import (
     log_pmf,
     pmf_row,
 )
-from binomcap.kernel import log_pmf_matrix
+from binomcap.kernel import log_binom_coeffs, log_pmf_matrix
 
 
 def direct_pmf(n, y, x):
@@ -70,6 +70,20 @@ class TestLogPmf:
             log_pmf(spec, 2, 1.5)
         with pytest.raises(ValueError):
             log_pmf(spec, 1.0, 0.5)
+
+
+class TestLogBinomCoeffs:
+    @pytest.mark.parametrize("n", [10, 4096])
+    def test_matches_exact_integers(self, n):
+        got = log_binom_coeffs(n)
+        want = [math.log(math.comb(n, y)) for y in range(n + 1)]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+
+    def test_read_only(self):
+        coeffs = log_binom_coeffs(10)
+        assert not coeffs.flags.writeable
+        with pytest.raises(ValueError):
+            coeffs[0] = 1.0
 
 
 class TestPmfRow:

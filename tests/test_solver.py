@@ -9,9 +9,9 @@ from binomcap import (
     SolverConfig,
     blahut_arimoto,
     exact_solution,
+    info_density_prime,
     kkt_verify,
     mutual_information,
-    refine_support,
     report_for_distribution,
     solve_capacity,
 )
@@ -62,48 +62,6 @@ class TestBlahutArimoto:
             blahut_arimoto(ChannelSpec(2), [0.5, 0.2], 1e-8)
 
 
-class TestRefineSupport:
-    def test_merges_straddling_pair(self):
-        coarse = DiscreteInput(np.array([0.0, 0.49, 0.51, 1.0]),
-                               np.array([0.4, 0.1, 0.1, 0.4]))
-        refined = refine_support(ChannelSpec(2), coarse)
-        np.testing.assert_allclose(refined.points, [0.0, 0.5, 1.0], atol=1e-9)
-
-    def test_three_trials_from_grid(self):
-        # coarse = grid BA output clustered into one atom per weight bump,
-        # per the op's "after pruning/clustering" precondition
-        grid = np.linspace(0.0, 1.0, 513)
-        res = blahut_arimoto(ChannelSpec(3), grid, 1e-5, max_iters=50_000)
-        w = res.weights
-        wpad = np.concatenate([[0.0], w, [0.0]])
-        bump = (wpad[1:-1] >= wpad[:-2]) & (wpad[1:-1] >= wpad[2:]) & (w > 1e-5)
-        pts, wts = [], []
-        for i in np.flatnonzero(bump):
-            s = slice(max(0, i - 3), min(len(grid), i + 4))
-            pts.append(float(np.dot(grid[s], w[s]) / w[s].sum()))
-            wts.append(float(w[s].sum()))
-        pts[0], pts[-1] = 0.0, 1.0
-        coarse = DiscreteInput(np.array(pts), np.array(wts) / sum(wts))
-        refined = refine_support(ChannelSpec(3), coarse)
-        np.testing.assert_allclose(refined.points, [0.0, 0.5, 1.0], atol=1e-6)
-
-    def test_newton_residual_small(self, solved):
-        # atoms land on roots of the derivative taken against the coarse dist
-        report = solved(10)
-        pts = np.array(report.input.points)
-        interior = (pts > 0) & (pts < 1)
-        delta = np.where(np.isclose(pts[interior], 0.5), 0.0,
-                         np.where(pts[interior] < 0.5, 2e-3, -2e-3))
-        pts[interior] = pts[interior] + delta
-        coarse = DiscreteInput(np.sort(pts), report.input.weights)
-        refined = refine_support(ChannelSpec(10), coarse)
-        from binomcap import info_density_prime
-        inner = refined.points[(refined.points > 0) & (refined.points < 1)]
-        resid = info_density_prime(inner, coarse, ChannelSpec(10))
-        assert np.max(np.abs(resid)) <= 1e-9
-        np.testing.assert_allclose(refined.points, 1.0 - refined.points[::-1], atol=1e-15)
-
-
 class TestSolveCapacity:
     @pytest.mark.parametrize("n,cap", [(1, math.log(2)), (2, math.log(17 / 8)),
                                        (3, math.log(19 / 8))])
@@ -150,6 +108,17 @@ class TestSolveCapacity:
             assert res.capacity_low <= report.capacity_nats + 1e-11
             assert report.capacity_nats <= res.capacity_low + max(report.kkt_slack, 1e-11)
 
+    def test_interior_atoms_on_derivative_roots(self, solved):
+        # the Newton polish zeroes its own i'; the moment-ratio form in
+        # density.py is an independent evaluation of the same derivative
+        for n in (10, 20):
+            report = solved(n)
+            pts = report.input.points
+            inner = pts[(pts > 0) & (pts < 1)]
+            assert len(inner) > 0
+            resid = info_density_prime(inner, report.input, ChannelSpec(n))
+            assert np.max(np.abs(resid)) <= 1e-9
+
     def test_json_payload_schema(self, solved):
         payload = solved(2).to_dict()
         assert list(payload.keys()) == ["n", "capacity_nats", "kkt_slack", "support",
@@ -158,13 +127,6 @@ class TestSolveCapacity:
 
 
 class TestSolverVariants:
-    def test_no_symmetrize_still_certifies(self):
-        report = solve_capacity(ChannelSpec(5), SolverConfig(symmetrize=False))
-        assert report.converged
-        assert report.kkt_slack <= 1e-8
-        # mirror symmetry emerges on its own
-        assert report.flags["symmetry_defect"] <= 1e-9
-
     def test_small_budget_reports_honestly(self):
         report = solve_capacity(ChannelSpec(24), SolverConfig(max_outer_iters=1))
         assert not report.converged
