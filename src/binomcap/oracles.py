@@ -1,8 +1,9 @@
 """Ground-truth fixtures and an independent grid-search capacity oracle.
 
 The n <= 3 solutions are stored as exact rationals and converted to floats
-only at the boundary, so the fixtures cannot drift.  The grid oracle is a
-deliberately plain Blahut-Arimoto loop that shares nothing with the
+only at the boundary, so the fixtures cannot drift.  The grid oracle is an
+over-relaxed Blahut-Arimoto loop (step exponent 2, falling back to the plain
+step whenever the mutual information would drop) that shares nothing with the
 production solver beyond pmf evaluation.
 """
 
@@ -18,6 +19,9 @@ from .distributions import DiscreteInput, OutputPmf
 from .kernel import ChannelSpec, log_pmf_matrix
 
 _HALF = Fraction(1, 2)
+
+# Step exponent mu of the oracle's accelerated update w * exp(mu * D).
+_OVER_RELAX = 2.0
 
 _TABLE = {
     1: {
@@ -75,16 +79,34 @@ def exact_solution(n: int) -> ExactSolution:
     )
 
 
+def _information(wa: np.ndarray, Pa: np.ndarray, Ha: np.ndarray):
+    """I(w), the information densities D_k and log q over the active rows."""
+    q = wa @ Pa
+    logq = np.log(np.maximum(q, 1e-300))
+    Da = Ha - Pa @ logq
+    return float(wa @ Da), Da, logq
+
+
+def _step(wa: np.ndarray, Da: np.ndarray, hi: float, mu: float) -> np.ndarray:
+    """Normalized BA update w * exp(mu * (D - max D)); mu = 1 is plain BA."""
+    nxt = wa * np.exp(mu * (Da - hi))
+    return nxt / nxt.sum()
+
+
 def brute_force_grid_capacity(spec: ChannelSpec, grid_points: int, tol: float,
                               max_iters: int = 2_000_000) -> float:
-    """Capacity lower bound from plain Blahut-Arimoto on a uniform grid.
+    """Capacity lower bound from over-relaxed Blahut-Arimoto on a uniform grid.
 
     No support refinement, no symmetrization: a from-scratch cross-check of
-    the production solver.  The duality gap max_k D_k - sum_k w_k D_k is
-    certified over the full grid before stopping; grid points whose weight
-    decays below 1e-40 are frozen at zero to keep iterations cheap (and are
-    revived if their information density recovers).  Raises if the gap does
-    not close within the iteration cap.
+    the production solver.  Each iteration takes the accelerated step
+    w * exp(mu * D) with mu = 2 (Matz & Duhamel, ITW 2004); if that lowers
+    the mutual information I(w), the plain step (mu = 1) is taken from the
+    previous iterate instead, so I(w) never decreases.  The duality gap
+    max_k D_k - sum_k w_k D_k is certified over the full grid before
+    stopping; grid points whose weight decays below 1e-40 are frozen at zero
+    and their rows dropped from the gathered active set (and revived if
+    their information density recovers).  Raises if the gap does not close
+    within the iteration cap.
     """
     if grid_points < 101 or grid_points % 2 == 0:
         raise ValueError("grid_points must be odd and at least 101")
@@ -95,32 +117,39 @@ def brute_force_grid_capacity(spec: ChannelSpec, grid_points: int, tol: float,
     P = np.exp(logP)
     with np.errstate(invalid="ignore"):
         row_neg_entropy = np.sum(np.where(P > 0, P * logP, 0.0), axis=1)
-    w = np.full(grid_points, 1.0 / grid_points)
-    active = np.ones(grid_points, dtype=bool)
+    del logP  # so that two gathered copies of P fit under the peak above
+    idx = np.arange(grid_points)
+    Pa, Ha, wa = P, row_neg_entropy, np.full(grid_points, 1.0 / grid_points)
+    lo, Da, logq = _information(wa, Pa, Ha)
     check_every = 250
     for it in range(1, max_iters + 1):
-        Pa = P[active]
-        q = w[active] @ Pa
-        logq = np.log(np.maximum(q, 1e-300))
-        Da = row_neg_entropy[active] - Pa @ logq
-        lo = float(w[active] @ Da)
         hi_active = float(Da.max())
         if hi_active - lo <= tol or it % check_every == 0:
+            w = np.zeros(grid_points)
+            w[idx] = wa
             D = row_neg_entropy - P @ logq
-            revive = (~active) & (D > hi_active + 0.5 * tol)
+            revive = (w == 0.0) & (D > hi_active + 0.5 * tol)
             if revive.any():
                 w[revive] = 1e-20
-                active |= revive
                 w /= w.sum()
+                idx = np.flatnonzero(w)
+                Pa, Ha, wa = P[idx], row_neg_entropy[idx], w[idx]
+                lo, Da, logq = _information(wa, Pa, Ha)
                 continue
             if float(D.max()) - lo <= tol:
                 return lo
-        w[active] = w[active] * np.exp(Da - hi_active)
-        dying = active & (w < 1e-40)
+        nxt = _step(wa, Da, hi_active, _OVER_RELAX)
+        info = _information(nxt, Pa, Ha)
+        if info[0] < lo:
+            nxt = _step(wa, Da, hi_active, 1.0)
+            info = _information(nxt, Pa, Ha)
+        wa, (lo, Da, logq) = nxt, info
+        dying = wa < 1e-40
         if dying.any():
-            w[dying] = 0.0
-            active &= ~dying
-        w[active] /= w[active].sum()
+            keep = ~dying
+            idx, Pa, Ha, wa = idx[keep], Pa[keep], Ha[keep], wa[keep]
+            wa /= wa.sum()
+            lo, Da, logq = _information(wa, Pa, Ha)
     raise RuntimeError(
         f"grid Blahut-Arimoto did not reach duality gap {tol} within {max_iters} iterations"
     )

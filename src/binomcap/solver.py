@@ -135,7 +135,10 @@ def _ba_core(spec: ChannelSpec, xs: np.ndarray, tol: float, max_iters: int,
     Points whose weight collapses below 1e-40 are frozen at zero; the
     capacity_high side of the sandwich is always re-checked against the full
     point set before stopping, and frozen points are revived if their
-    information density climbs back above the active maximum.
+    information density climbs back above the active maximum.  The active
+    rows of P, rowH and w are gathered once per change of the active set
+    (freeze or revive) and scattered back into the full w only for the
+    full-set check and on return.
     Returns (w, capacity_low, capacity_high, iterations, D_full, converged).
     """
     xs = np.asarray(xs, dtype=float)
@@ -144,27 +147,29 @@ def _ba_core(spec: ChannelSpec, xs: np.ndarray, tol: float, max_iters: int,
     P = np.exp(logP)
     with np.errstate(invalid="ignore"):
         rowH = np.sum(np.where(P > 0, P * logP, 0.0), axis=1)
-    w = np.full(m, 1.0 / m)
-    active = np.ones(m, dtype=bool)
+    del logP  # so that two gathered copies of P fit under the peak above
+    idx = np.arange(m)
+    Pa, Ha, wa = P, rowH, np.full(m, 1.0 / m)
     refresh = 200
     lo = 0.0
-    D_full = np.zeros(m)
     for it in range(1, max_iters + 1):
-        Pa = P[active]
-        q = w[active] @ Pa
+        q = wa @ Pa
         logq = np.log(np.maximum(q, _TINY_Q))
-        Da = rowH[active] - Pa @ logq
-        lo = float(w[active] @ Da)
+        Da = Ha - Pa @ logq
+        lo = float(wa @ Da)
         hi_a = float(Da.max())
         candidate = hi_a - lo <= tol
         if candidate or it % refresh == 0 or it == max_iters:
+            w = np.zeros(m)
+            w[idx] = wa
             D_full = rowH - P @ logq
             hi = float(D_full.max())
-            revive = (~active) & (D_full > hi_a + 0.5 * tol)
+            revive = (w == 0.0) & (D_full > hi_a + 0.5 * tol)
             if revive.any():
                 w[revive] = _DEAD_WEIGHT
-                active |= revive
                 w /= w.sum()
+                idx = np.flatnonzero(w)
+                Pa, Ha, wa = P[idx], rowH[idx], w[idx]
                 continue
             ok = hi - lo <= tol
             if ok and defect_tol is not None:
@@ -172,12 +177,14 @@ def _ba_core(spec: ChannelSpec, xs: np.ndarray, tol: float, max_iters: int,
                 ok = float(np.abs(D_full[sig] - lo).max()) <= defect_tol
             if ok:
                 return w, lo, hi, it, D_full, True
-        w[active] = w[active] * np.exp(Da - hi_a)
-        dead = active & (w < _DEAD_WEIGHT)
+        wa = wa * np.exp(Da - hi_a)
+        dead = wa < _DEAD_WEIGHT
         if dead.any():
-            w[dead] = 0.0
-            active &= ~dead
-        w[active] /= w[active].sum()
+            keep = ~dead
+            idx, Pa, Ha, wa = idx[keep], Pa[keep], Ha[keep], wa[keep]
+        wa /= wa.sum()
+    w = np.zeros(m)
+    w[idx] = wa
     D_full = rowH - P @ logq
     return w, lo, float(D_full.max()), max_iters, D_full, False
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from binomcap import oracles
 from binomcap import (
     ChannelSpec,
     brute_force_grid_capacity,
@@ -89,3 +90,23 @@ class TestGridOracle:
     def test_iteration_cap_raises(self):
         with pytest.raises(RuntimeError):
             brute_force_grid_capacity(ChannelSpec(3), 101, 1e-12, max_iters=10)
+
+    def test_criterion_12_settings_three_trials(self):
+        got = brute_force_grid_capacity(ChannelSpec(3), 4097, 5e-6, max_iters=600_000)
+        assert math.log(19 / 8) - 1e-5 <= got <= math.log(19 / 8)
+
+    def test_fallback_to_plain_step_keeps_bound(self, monkeypatch):
+        mus = []
+        step = oracles._step
+
+        def spy(wa, Da, hi, mu):
+            mus.append(mu)
+            return step(wa, Da, hi, mu)
+
+        monkeypatch.setattr(oracles, "_OVER_RELAX", 8.0)
+        monkeypatch.setattr(oracles, "_step", spy)
+        gap = 1e-6
+        got = brute_force_grid_capacity(ChannelSpec(3), 1001, gap, max_iters=200_000)
+        assert 1.0 in mus and 8.0 in mus
+        # 0, 1/2 and 1 are grid points, so the grid capacity is the true one
+        assert math.log(19 / 8) - gap <= got <= math.log(19 / 8)
