@@ -1,7 +1,8 @@
 """Numerically stable binomial channel kernel and binomial entropy bounds.
 
 All probability arithmetic goes through log-gamma in the log domain so that
-trial counts up to a few thousand do not underflow.  The 0 log 0 = 0
+trial counts up to a few thousand do not underflow.  The log-pmf matrix
+takes log x and log(1-x) once per row, not once per cell.  The 0 log 0 = 0
 convention is applied throughout, so endpoint inputs x = 0 and x = 1 give
 finite values instead of NaN.
 
@@ -57,13 +58,25 @@ def log_binom_coeffs(n: int) -> np.ndarray:
 def log_pmf_matrix(spec: ChannelSpec, xs) -> np.ndarray:
     """Log-pmf rows for an array of inputs; shape (len(xs), n+1).
 
-    Entries are log C(n,y) + y log x + (n-y) log(1-x) with the 0 log 0 = 0
-    convention, so endpoint inputs produce 0/-inf rather than NaN.
+    Entries are log C(n,y) + y log x + (n-y) log(1-x).  log x and log(1-x)
+    are taken once per row and broadcast over y, with the same rounding as
+    the per-cell xlogy(y, x) and xlog1py(n-y, -x).  Endpoint rows follow the
+    0 log 0 = 0 convention: x = 0 gives 0 at y = 0 and -inf elsewhere, x = 1
+    gives 0 at y = n and -inf elsewhere.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     n = spec.n
-    y = np.arange(n + 1)
-    return log_binom_coeffs(n) + xlogy(y, xs[:, None]) + xlog1py(n - y, -xs[:, None])
+    y = np.arange(n + 1, dtype=float)
+    at0 = xs == 0.0
+    at1 = xs == 1.0
+    # endpoint rows are overwritten below; 0.5 keeps their logs finite
+    xr = np.where(at0 | at1, 0.5, xs)[:, None]
+    out = y * xlogy(1.0, xr)
+    out += log_binom_coeffs(n)
+    out += (n - y) * xlog1py(1.0, -xr)
+    out[at0] = np.where(y == 0, 0.0, -np.inf)
+    out[at1] = np.where(y == n, 0.0, -np.inf)
+    return out
 
 
 def log_pmf(spec: ChannelSpec, y: int, x: float) -> float:

@@ -514,7 +514,15 @@ def _polish(spec: ChannelSpec, pts: np.ndarray, ws: np.ndarray, config: SolverCo
 
 def _certify(dist: DiscreteInput, spec: ChannelSpec, grid_points: int,
              tol: float, merge_radius: float = 1e-4) -> tuple[KktSummary, np.ndarray, np.ndarray]:
-    """Grid sweep of the information density plus structural flags."""
+    """Grid sweep of the information density plus structural flags.
+
+    A grid of fewer than 3 points holds at most the endpoints; the sweep
+    would then see only those and the atoms, and certify non-optimal inputs.
+    """
+    if grid_points < 3:
+        raise ValueError(f"certification grid needs at least 3 points, got {grid_points}")
+    if not tol > 0.0:
+        raise ValueError(f"KKT tolerance must be positive, got {tol}")
     n = spec.n
     logq = log_output_pmf(dist, spec)
     xs = np.union1d(np.linspace(0.0, 1.0, grid_points), dist.points)

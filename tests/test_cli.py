@@ -129,6 +129,21 @@ class TestVerifyCommand:
         payload = json.loads(out)
         assert payload["kkt_slack"] > 1e-6
 
+    @pytest.mark.parametrize("flag, value, reason", [
+        ("--grid-size", "1", "at least 3 points"),
+        ("--grid-size", "2", "at least 3 points"),
+        ("--kkt-tol", "0", "tolerance must be positive"),
+    ])
+    def test_rejects_degenerate_certificate(self, capsys, tmp_path, flag, value, reason):
+        # n = 2 capacity is log(17/8) > log 2, so this input is not optimal
+        dist = tmp_path / "dist.json"
+        dist.write_text(json.dumps({"points": [0.0, 1.0], "weights": [0.5, 0.5]}))
+        code, out, err = run_cli(capsys, "verify", "--n", "2", "--dist", str(dist),
+                                 flag, value)
+        assert code == 2
+        assert out == ""
+        assert reason in err
+
     def test_bad_weight_sum(self, capsys, tmp_path):
         dist = tmp_path / "bad.json"
         dist.write_text(json.dumps({"points": [0.2, 0.8], "weights": [0.7, 0.7]}))

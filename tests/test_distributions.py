@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.special import xlog1py, xlogy
 
 from binomcap import (
     ChannelSpec,
@@ -17,6 +18,8 @@ from binomcap import (
     mutual_information,
     posterior_mean,
 )
+from binomcap.distributions import _CHUNK_CELLS, _info_density_against_logq, log_output_pmf
+from binomcap.kernel import log_binom_coeffs
 
 
 def rational_det(matrix):
@@ -137,6 +140,38 @@ class TestInfoDensity:
         out = induce_output(table_dists[3], ChannelSpec(3))
         assert info_density(0.5, out, ChannelSpec(3)) == pytest.approx(
             math.log(19 / 8), abs=1e-14)
+
+
+def where_form_density(n, xs, logq):
+    """Reference: the density sweep over all rows at once, masked with np.where."""
+    y = np.arange(n + 1)
+    logP = log_binom_coeffs(n) + xlogy(y, xs[:, None]) + xlog1py(n - y, -xs[:, None])
+    P = np.exp(logP)
+    with np.errstate(invalid="ignore"):
+        return np.sum(np.where(P > 0, P * (logP - logq), 0.0), axis=1)
+
+
+class TestDensitySweep:
+    @pytest.mark.parametrize("n", [24, 1024])
+    def test_bit_identical_to_where_form(self, n, rng):
+        spec = ChannelSpec(n)
+        logq = log_output_pmf(random_dist(rng), spec)
+        step = _CHUNK_CELLS // (n + 1)
+        for size in (step // 3, 3 * step + 7):
+            assert 0 < size % step < step
+            xs = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, size - 2)])
+            got = _info_density_against_logq(spec, xs, logq)
+            assert np.array_equal(got, where_form_density(n, xs, logq))
+
+    def test_starved_output(self):
+        spec = ChannelSpec(4)
+        logq = log_output_pmf(DiscreteInput([0.0, 1.0], [0.5, 0.5]), spec)
+        xs = np.linspace(0.0, 1.0, 9)
+        got = _info_density_against_logq(spec, xs, logq)
+        assert np.array_equal(got, where_form_density(4, xs, logq))
+        assert not np.isnan(got).any()
+        assert np.all(got[1:-1] == np.inf)
+        assert got[0] == got[-1] == pytest.approx(math.log(2), abs=1e-15)
 
 
 class TestMutualInformation:

@@ -1,9 +1,11 @@
 import math
+import warnings
 from decimal import Decimal, getcontext
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.special import xlog1py, xlogy
 
 from binomcap import (
     ChannelSpec,
@@ -33,6 +35,12 @@ def entropy_highprec(n, x):
             d = Decimal(p.numerator) / Decimal(p.denominator)
             h -= d * d.ln()
     return float(h)
+
+
+def per_cell_log_pmf_matrix(n, xs):
+    """Reference: log C(n,y) + xlogy(y, x) + xlog1py(n-y, -x), one scipy call per cell."""
+    y = np.arange(n + 1)
+    return log_binom_coeffs(n) + xlogy(y, xs[:, None]) + xlog1py(n - y, -xs[:, None])
 
 
 class TestChannelSpec:
@@ -84,6 +92,27 @@ class TestLogBinomCoeffs:
         assert not coeffs.flags.writeable
         with pytest.raises(ValueError):
             coeffs[0] = 1.0
+
+
+class TestLogPmfMatrix:
+    XS = np.concatenate([[0.0, 1.0, 5e-324, 1e-300, 0.5, 1.0 - 2.0**-53],
+                         np.linspace(0.0, 1.0, 1001)])
+
+    @pytest.mark.parametrize("n", [1, 2, 24, 257, 4096])
+    def test_bit_identical_to_per_cell_form(self, n):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = log_pmf_matrix(ChannelSpec(n), self.XS)
+            want = per_cell_log_pmf_matrix(n, self.XS)
+        assert np.array_equal(got, want)
+        assert not np.isnan(got).any()
+
+    def test_endpoint_rows(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = log_pmf_matrix(ChannelSpec(3), [0.0, 1.0])
+        np.testing.assert_array_equal(rows, [[0.0, -np.inf, -np.inf, -np.inf],
+                                             [-np.inf, -np.inf, -np.inf, 0.0]])
 
 
 class TestPmfRow:

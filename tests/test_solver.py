@@ -205,6 +205,23 @@ class TestKktVerify:
         assert not summary.flags["kkt_equality"]
         assert not report.converged
 
+    def test_rejects_grid_without_interior(self):
+        # the endpoints alone would certify this non-optimal n = 2 input
+        dist = DiscreteInput([0.0, 1.0], [0.5, 0.5])
+        for grid_size in (1, 2):
+            with pytest.raises(ValueError, match="at least 3 points"):
+                report_for_distribution(dist, ChannelSpec(2), grid_size=grid_size)
+        report = report_for_distribution(dist, ChannelSpec(2), grid_size=3)
+        assert not report.converged
+        assert report.kkt_slack > 0.05
+        with pytest.raises(ValueError, match="at least 3 points"):
+            kkt_verify(report, ChannelSpec(2), grid_size=1)
+
+    def test_rejects_nonpositive_tol(self, table_dists):
+        for tol in (0.0, -1e-8, float("nan")):
+            with pytest.raises(ValueError, match="tolerance must be positive"):
+                report_for_distribution(table_dists[2], ChannelSpec(2), tol=tol)
+
     def test_solved_twenty_all_flags(self, solved):
         report = solved(20)
         summary = kkt_verify(report, ChannelSpec(20))
