@@ -153,9 +153,11 @@ def _cmd_solve(args) -> int:
 def _cmd_bounds(args) -> int:
     if (args.n is None) == (args.n_max is None):
         raise ValueError("bounds needs exactly one of --n or --n-max")
-    ns = [args.n] if args.n is not None else list(range(1, args.n_max + 1))
-    if min(ns) < 1:
+    if args.n is not None and args.n < 1:
         raise ValueError("n must be >= 1")
+    if args.n_max is not None and args.n_max < 1:
+        raise ValueError("--n-max must be >= 1")
+    ns = [args.n] if args.n is not None else list(range(1, args.n_max + 1))
     reports = [bounds_mod.bounds_report(n) for n in ns]
     if args.format == "json":
         _emit(args, dumps([r.to_dict() for r in reports]) + "\n")
@@ -235,6 +237,8 @@ def _cmd_curves(args) -> int:
 
 
 def _cmd_entropy_bounds(args) -> int:
+    if args.points < 1:
+        raise ValueError("--points must be >= 1")
     spec = ChannelSpec(args.n)
     xs = np.linspace(0.0, 1.0, args.points)
     lines = ["x,lower,exact,upper"]

@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.special import logsumexp
 
 from .distributions import (
     DiscreteInput,
@@ -304,16 +303,13 @@ def _kkt_residual(spec: ChannelSpec, pts: np.ndarray, w: np.ndarray, C: float):
     return F, ival, (logP, P, q, logq, Pp, ip)
 
 
-def _kkt_system(spec: ChannelSpec, pts: np.ndarray, w: np.ndarray, C: float):
-    """Residual and Jacobian of the stationarity system in (w, x_int, C).
+def _kkt_system(spec: ChannelSpec, pts: np.ndarray, w: np.ndarray, terms) -> np.ndarray:
+    """Jacobian of the stationarity system in (w, x_int, C).
 
-    Weights enter linearly so the Newton solution signals superfluous atoms
-    by negative weights.  Returns (None, ...) when some output is starved of
-    probability.
+    `terms` are the ones `_kkt_residual` returned at (pts, w).  Weights enter
+    linearly so the Newton solution signals superfluous atoms by negative
+    weights.
     """
-    F, ival, terms = _kkt_residual(spec, pts, w, C)
-    if F is None:
-        return None, None, None
     logP, P, q, logq, Pp, ip = terms
     n = spec.n
     K = len(pts)
@@ -340,7 +336,7 @@ def _kkt_system(spec: ChannelSpec, pts: np.ndarray, w: np.ndarray, C: float):
     i2_frozen = np.sum(Ppp * (logP[interior] - logq), axis=1) + np.sum(curv, axis=1)
     J[K + np.arange(m), K + np.arange(m)] += i2_frozen
     J[K + m, :K] = 1.0
-    return F, J, ival
+    return J
 
 
 def _kkt_newton(spec: ChannelSpec, pts: np.ndarray, w: np.ndarray,
@@ -349,24 +345,25 @@ def _kkt_newton(spec: ChannelSpec, pts: np.ndarray, w: np.ndarray,
 
     Returns (pts, w, status, residual) with status 'ok' (solved, all weights
     positive), 'neg' (solved, some weight nonpositive: drop that atom) or
-    'stall' (no progress; caller should fall back to direct ascent).
+    'stall' (no progress; caller should fall back to direct ascent).  The
+    residual of an accepted step is carried into the next iteration, so each
+    iteration forms only the Jacobian anew.
     """
     pts = pts.copy()
     w = w.copy()
     interior = np.flatnonzero((pts > 0.0) & (pts < 1.0))
     K, m = len(pts), len(interior)
-    F, ival, _ = _kkt_residual(spec, pts, w, 0.0)
+    F, ival, terms = _kkt_residual(spec, pts, w, 0.0)
     if F is None:
         return pts, w, "stall", np.inf
     C = float(w @ ival)
+    F[:K] = ival - C
     fn = np.inf
     for _ in range(max_iter):
-        F, J, _ = _kkt_system(spec, pts, w, C)
-        if F is None:
-            return pts, w, "stall", np.inf
         fn = float(np.abs(F).max())
         if fn <= tol:
             break
+        J = _kkt_system(spec, pts, w, terms)
         try:
             step = np.linalg.solve(J, -F)
         except np.linalg.LinAlgError:
@@ -382,9 +379,9 @@ def _kkt_newton(spec: ChannelSpec, pts: np.ndarray, w: np.ndarray,
                     hi_b = 0.5 * (pts[interior] + pts[interior + 1])
                     npts[interior] = np.minimum(np.maximum(xi, lo_b), hi_b)
                 nC = C + damp * step[K + m]
-                F2 = _kkt_residual(spec, npts, nw, nC)[0]
+                F2, _, terms2 = _kkt_residual(spec, npts, nw, nC)
                 if F2 is not None and np.abs(F2).max() < fn:
-                    return npts, nw, nC
+                    return npts, nw, nC, F2, terms2
             return None
 
         moved = try_step(step)
@@ -403,13 +400,27 @@ def _kkt_newton(spec: ChannelSpec, pts: np.ndarray, w: np.ndarray,
                     break
         if moved is None:
             break
-        pts, w, C = moved
+        pts, w, C, F, terms = moved
     solved = fn <= 1e-10
     if solved and np.all(w > 0):
         return pts, w, "ok", fn
     if solved:
         return pts, w, "neg", fn
     return pts, w, "stall", fn
+
+
+def _logsumexp(a: np.ndarray) -> np.float64:
+    """scipy.special.logsumexp of a finite 1-d array, bit for bit.
+
+    Repeats the arithmetic of scipy 1.17 (the maxima are counted and left
+    out of the shifted sum) without its array-API dispatch: about 17 us a
+    call instead of 100 us on a 2-vCPU x86 VM, paid on every L-BFGS step.
+    """
+    a_max = np.max(a, keepdims=True)
+    at_max = a == a_max
+    m = np.sum(at_max.astype(a.dtype), keepdims=True)
+    s = np.sum(np.exp(np.where(at_max, -np.inf, a) - a_max), keepdims=True) / m
+    return (np.log1p(s) + np.log(m) + a_max)[0]
 
 
 def _ascend_information(spec: ChannelSpec, pts: np.ndarray, ws: np.ndarray):
@@ -424,7 +435,7 @@ def _ascend_information(spec: ChannelSpec, pts: np.ndarray, ws: np.ndarray):
     interior = np.flatnonzero((pts > 0.0) & (pts < 1.0))
 
     def unpack(z):
-        w = np.exp(z[:K] - logsumexp(z[:K]))
+        w = np.exp(z[:K] - _logsumexp(z[:K]))
         x = pts.copy()
         x[interior] = 1.0 / (1.0 + np.exp(-z[K:]))
         return w, x

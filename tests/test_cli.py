@@ -173,6 +173,13 @@ class TestBoundsCommand:
         code, _, err = run_cli(capsys, "bounds", "--n", "2", "--n-max", "4")
         assert code == 2
 
+    @pytest.mark.parametrize("flag", ["--n", "--n-max"])
+    def test_rejects_nonpositive_trial_count(self, capsys, flag):
+        code, out, err = run_cli(capsys, "bounds", flag, "0")
+        assert code == 2
+        assert out == ""
+        assert f"{flag.lstrip('-')} must be >= 1" in err
+
 
 class TestSweepCommand:
     def test_small_sweep(self, capsys):
@@ -226,3 +233,10 @@ class TestEntropyBoundsCommand:
             _, lo, exact, hi = map(float, line.split(","))
             assert lo <= exact + 1e-12
             assert exact <= hi + 1e-12
+
+    @pytest.mark.parametrize("points", ["0", "-2"])
+    def test_rejects_nonpositive_points(self, capsys, points):
+        code, out, err = run_cli(capsys, "entropy-bounds", "--n", "10", "--points", points)
+        assert code == 2
+        assert out == ""
+        assert "--points must be >= 1" in err

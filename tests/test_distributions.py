@@ -1,4 +1,5 @@
 import math
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -18,8 +19,9 @@ from binomcap import (
     mutual_information,
     posterior_mean,
 )
+from binomcap import distributions
 from binomcap.distributions import _CHUNK_CELLS, _info_density_against_logq, log_output_pmf
-from binomcap.kernel import log_binom_coeffs
+from binomcap.kernel import log_binom_coeffs, log_pmf_matrix
 
 
 def rational_det(matrix):
@@ -151,17 +153,73 @@ def where_form_density(n, xs, logq):
         return np.sum(np.where(P > 0, P * (logP - logq), 0.0), axis=1)
 
 
+@pytest.mark.filterwarnings("error")
 class TestDensitySweep:
+    @staticmethod
+    def spy_chunks(monkeypatch, xs):
+        """Record (thread, first row, rows) of every chunk the sweep forms."""
+        chunks = []
+
+        def spy(spec, x):
+            chunks.append((threading.get_ident(), (x.ctypes.data - xs.ctypes.data) // 8,
+                           len(x)))
+            return log_pmf_matrix(spec, x)
+
+        monkeypatch.setattr(distributions, "log_pmf_matrix", spy)
+        return chunks
+
     @pytest.mark.parametrize("n", [24, 1024])
-    def test_bit_identical_to_where_form(self, n, rng):
+    def test_bit_identical_to_where_form(self, n, rng, monkeypatch):
         spec = ChannelSpec(n)
         logq = log_output_pmf(random_dist(rng), spec)
-        step = _CHUNK_CELLS // (n + 1)
-        for size in (step // 3, 3 * step + 7):
-            assert 0 < size % step < step
-            xs = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, size - 2)])
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(distributions, "_sweep_cpus", lambda: cpus)
+            step = _CHUNK_CELLS // cpus // (n + 1)
+            # shorter than one chunk; not a multiple of a chunk or a block;
+            # two whole chunks for every CPU and a ragged tail
+            for size in (step // 3, 3 * step + 7, 2 * cpus * step + step // 2):
+                assert 0 < size % step < step
+                xs = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, size - 2)])
+                chunks = self.spy_chunks(monkeypatch, xs)
+                got = _info_density_against_logq(spec, xs, logq)
+                assert np.array_equal(got, where_form_density(n, xs, logq))
+                assert sorted((first, rows) for _, first, rows in chunks) == \
+                    [(s, min(step, size - s)) for s in range(0, size, step)]
+                # the caller sweeps the first block, of whole chunks
+                block = step * -(-size // (step * cpus))
+                mine = [first for t, first, _ in chunks if t == threading.get_ident()]
+                assert sorted(mine) == list(range(0, min(block, size), step))
+                if size > 2 * cpus * step:  # the third size reaches every block
+                    assert -(-size // block) == cpus
+
+    def test_one_chunk_or_one_cpu_starts_no_thread(self, rng, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("the sweep started a thread pool")
+
+        monkeypatch.setattr(distributions, "ThreadPoolExecutor", no_pool)
+        n = 24
+        spec = ChannelSpec(n)
+        logq = log_output_pmf(random_dist(rng), spec)
+        for cpus, size in ((2, _CHUNK_CELLS // 2 // (n + 1)), (3, 1),
+                           (1, 5 * _CHUNK_CELLS // (n + 1))):
+            monkeypatch.setattr(distributions, "_sweep_cpus", lambda: cpus)
+            xs = rng.uniform(0.0, 1.0, size)
             got = _info_density_against_logq(spec, xs, logq)
             assert np.array_equal(got, where_form_density(n, xs, logq))
+
+    def test_worker_error_reaches_caller(self, rng, monkeypatch):
+        caller = threading.get_ident()
+
+        def fail_off_caller(spec, x):
+            if threading.get_ident() != caller:
+                raise FloatingPointError("worker failed")
+            return log_pmf_matrix(spec, x)
+
+        monkeypatch.setattr(distributions, "_sweep_cpus", lambda: 2)
+        monkeypatch.setattr(distributions, "log_pmf_matrix", fail_off_caller)
+        with pytest.raises(FloatingPointError, match="worker failed"):
+            _info_density_against_logq(ChannelSpec(24), rng.uniform(0.0, 1.0, 20490),
+                                       np.full(25, -np.log(25.0)))
 
     def test_starved_output(self):
         spec = ChannelSpec(4)
