@@ -228,6 +228,8 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_curves(args) -> int:
+    if args.points < 3:
+        raise ValueError("--points must be >= 3")
     spec = ChannelSpec(args.n)
     report = solve_capacity(spec, _solver_config(args))
     curve = density_curve(report.input, spec, grid_size=args.points)

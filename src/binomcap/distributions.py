@@ -121,25 +121,31 @@ def kl_divergence(p, q) -> float:
 
 
 def _info_terms(spec: ChannelSpec, xs: np.ndarray, logP: np.ndarray, P: np.ndarray,
-                logq: np.ndarray, interior=slice(0, 0)):
-    """Information density rows and, at the rows `interior`, their slope.
+                logq: np.ndarray, interior=None):
+    """Information density rows and, at the rows `interior`, two derivatives.
 
     Given the channel rows logP = log P(.|xs), P = exp(logP) and a frozen
-    log q, returns (i, P', i') with i(x) = sum_y P (log P - log q) under the
-    0 log 0 = 0 convention, P' = dP/dx on the interior rows (0 < x < 1; none
-    by default) and i'(x) = sum_y P' (log P - log q) there.
+    log q, returns i(x) = sum_y P (log P - log q) under the 0 log 0 = 0
+    convention; with `interior` (rows with 0 < x < 1) it returns
+    (i, P', i', i'') with, on those rows only, P' = P t for t = d log P / dx,
+    i' = sum_y P' (log P - log q) and i'' = sum_y (P'' (log P - log q) + P' t).
     """
-    n = spec.n
-    y = np.arange(n + 1)
-    xi = xs[interior]
-    Pp = P[interior] * (y[None, :] - n * xi[:, None]) / (xi * (1.0 - xi))[:, None]
     with np.errstate(invalid="ignore"):
         terms = logP - logq
         terms *= P
         np.copyto(terms, 0.0, where=~(P > 0))
         ival = np.sum(terms, axis=1)
-        ip = np.sum(Pp * (logP[interior] - logq), axis=1)
-    return ival, Pp, ip
+    if interior is None:
+        return ival
+    n = spec.n
+    y = np.arange(n + 1)
+    xi = xs[interior][:, None]
+    Pi = P[interior]
+    t = (y - n * xi) / (xi * (1.0 - xi))
+    Pp = Pi * t
+    Ppp = Pi * (t * t - y / xi ** 2 - (n - y) / (1.0 - xi) ** 2)
+    d = logP[interior] - logq
+    return ival, Pp, np.sum(Pp * d, axis=1), np.sum(Ppp * d, axis=1) + np.sum(Pp * t, axis=1)
 
 
 # Cells in flight in the density sweep, summed over the CPUs that sweep it:
@@ -177,7 +183,7 @@ def _info_density_against_logq(spec: ChannelSpec, xs, logq: np.ndarray) -> np.nd
         for s in range(lo, min(lo + block, len(xs)), step):
             x = xs[s:s + step]
             logP = log_pmf_matrix(spec, x)
-            out[s:s + step] = _info_terms(spec, x, logP, np.exp(logP), logq)[0]
+            out[s:s + step] = _info_terms(spec, x, logP, np.exp(logP), logq)
 
     rest = range(block, len(xs), block)
     if not rest:

@@ -1,25 +1,26 @@
 """Capacity solver: grid Blahut-Arimoto seeding, support refinement, and
 KKT certification.
 
-The solve pipeline works in three layers:
+The capacity-achieving input is unique, hence mirror-symmetric, so the solve
+state is a half support: atoms 0 = h_0 < ... <= 1/2 with one mass v per
+orbit {h, 1 - h}.  As P(y | 1 - x) = P(n - y | x), an orbit's channel row is
+the mean of P(.|h) and its reverse: one form for the endpoint orbit {0, 1},
+interior pairs and a centre atom.  The solve works in three layers:
 
-1. a coarse Blahut-Arimoto pass on a uniform grid locates the mass clusters
-   of the optimizer (one seed atom per local maximum of the weight profile);
-2. the support is polished to the exact optimality conditions: equal
-   information density on all atoms, zero density derivative at interior
-   atoms.  A damped Newton iteration on that square system (positions,
-   weights, capacity) finishes at machine precision; when the structure is
-   wrong the Newton weights go negative (atom must be dropped) or the
-   iteration stalls near a support-splitting transition, in which case a
-   direct quasi-Newton ascent of the mutual information sorts out which
-   atoms survive;
-3. a fine-grid sweep of the information density certifies the result
-   (max slack and per-atom equality defect) and proposes escape atoms where
-   the density still pokes above the capacity estimate.
+1. a coarse Blahut-Arimoto pass on the orbits of a uniform grid seeds one
+   atom per local maximum of the weight profile;
+2. a damped Newton iteration on the optimality conditions (equal density on
+   all orbits, zero density derivative at atoms in (0, 1/2), unit mass)
+   polishes masses and positions to machine precision; negative Newton
+   masses mark orbits to drop, and where Newton stalls near a
+   support-splitting transition a direct ascent of the mutual information,
+   then continuation in the lightest orbit's mass, sort out which atoms
+   survive;
+3. the half support becomes an input on [0, 1], whose density a fine grid
+   sweep certifies; an escape atom goes where the density still pokes above
+   the capacity estimate.
 
-Weights are always re-optimized by Blahut-Arimoto between structure moves,
-and the support is kept exactly mirror-symmetric (fold to [0, 1/2], merge,
-emit pairs), as the unique optimizer is.
+Merges keep the first atom on 0 and snap atoms near 1/2 onto the centre.
 """
 
 from __future__ import annotations
@@ -127,8 +128,16 @@ class SolveReport:
 # Blahut-Arimoto
 # ---------------------------------------------------------------------------
 
+def _mirror_mix(P: np.ndarray) -> np.ndarray:
+    """Rows of the orbits {x, 1 - x} from the rows P(.|x): P(y | 1 - x) =
+    P(n - y | x), so each is the mean of a row and its reverse."""
+    R = P + P[:, ::-1]
+    R *= 0.5
+    return R
+
+
 def _ba_core(spec: ChannelSpec, xs: np.ndarray, tol: float, max_iters: int,
-             defect_tol: float | None = None):
+             defect_tol: float | None = None, orbits: bool = False):
     """Multiplicative BA update with an active-set speedup.
 
     Points whose weight collapses below 1e-40 are frozen at zero; the
@@ -138,6 +147,9 @@ def _ba_core(spec: ChannelSpec, xs: np.ndarray, tol: float, max_iters: int,
     rows of P, rowH and w are gathered once per change of the active set
     (freeze or revive) and scattered back into the full w only for the
     full-set check and on return.
+
+    With orbits=True each x in [0, 1/2] stands for its orbit {x, 1 - x},
+    starting from the orbit sums of a uniform start on the points of [0, 1].
     Returns (w, capacity_low, capacity_high, iterations, D_full, converged).
     """
     xs = np.asarray(xs, dtype=float)
@@ -147,8 +159,13 @@ def _ba_core(spec: ChannelSpec, xs: np.ndarray, tol: float, max_iters: int,
     with np.errstate(invalid="ignore"):
         rowH = np.sum(np.where(P > 0, P * logP, 0.0), axis=1)
     del logP  # so that two gathered copies of P fit under the peak above
+    wa = np.full(m, 1.0 / m)
+    if orbits:
+        P = _mirror_mix(P)
+        wa = np.where(xs == 0.5, 1.0, 2.0)
+        wa /= wa.sum()
     idx = np.arange(m)
-    Pa, Ha, wa = P, rowH, np.full(m, 1.0 / m)
+    Pa, Ha = P, rowH
     refresh = 200
     lo = 0.0
     for it in range(1, max_iters + 1):
@@ -206,7 +223,7 @@ def blahut_arimoto(spec: ChannelSpec, grid, tol: float,
 
 
 # ---------------------------------------------------------------------------
-# support manipulation helpers
+# half supports: atoms 0 = h_0 < ... <= 1/2, one mass per orbit {h, 1 - h}
 # ---------------------------------------------------------------------------
 
 def _merge_sorted(pts: np.ndarray, ws: np.ndarray, radius: float):
@@ -223,172 +240,145 @@ def _merge_sorted(pts: np.ndarray, ws: np.ndarray, radius: float):
     return np.asarray(out_p), np.asarray(out_w)
 
 
-def _fold_mirror(pts: np.ndarray, ws: np.ndarray, radius: float):
-    """Exactly mirror-symmetric copy: fold onto [0, 1/2], merge, emit pairs.
+def _merge_half(h: np.ndarray, v: np.ndarray, radius: float):
+    """Merge atoms of a half support closer than radius, keep the first atom
+    on 0, snap the others within radius of 1/2 onto it, and renormalize."""
+    h, v = _merge_sorted(h, v, radius)
+    h[0] = 0.0
+    h[1:][0.5 - h[1:] <= radius] = 0.5
+    return h, v / v.sum()
 
-    Folding first makes the merge direction-independent, so the result is
-    symmetric as a multiset by construction (no index pairing involved).
-    """
-    folded = np.minimum(pts, 1.0 - pts)
-    order = np.argsort(folded, kind="stable")
-    fp, fw = _merge_sorted(folded[order], ws[order], radius)
-    out_p, out_w = [], []
-    for p, w in zip(fp, fw):
-        if p <= radius:
-            p = 0.0
-        if abs(p - 0.5) <= radius:
-            out_p.append(0.5)
-            out_w.append(w)
-        else:
-            out_p.extend([p, 1.0 - p])
-            out_w.extend([w / 2.0, w / 2.0])
-    out_p = np.asarray(out_p)
-    out_w = np.asarray(out_w)
-    order = np.argsort(out_p)
-    return out_p[order], out_w[order] / out_w.sum()
+
+def _full_input(h: np.ndarray, v: np.ndarray) -> DiscreteInput:
+    """The input on [0, 1] of a half support: each pair {h, 1 - h} splits
+    its orbit's mass evenly, a centre atom keeps it whole."""
+    pair = h < 0.5
+    pts = np.concatenate([h, 1.0 - h[pair][::-1]])
+    wts = np.concatenate([np.where(pair, 0.5 * v, v), 0.5 * v[pair][::-1]])
+    return DiscreteInput(pts, wts / wts.sum())
 
 
 def _seed_support(spec: ChannelSpec, config: SolverConfig):
-    """Initial atoms: one per local maximum of the coarse BA weight profile."""
-    grid = np.linspace(0.0, 1.0, config.grid_size)
-    w, *_ = _ba_core(spec, grid, 1e-6, max_iters=2000)
+    """Initial half support: one atom per local maximum of the coarse BA
+    weight profile, found on the half of the config's grid in [0, 1/2]."""
+    c = config.grid_size // 2
+    hs = np.linspace(0.0, 0.5, c + 1)
+    v, *_ = _ba_core(spec, hs, 1e-6, max_iters=2000, orbits=True)
+    w = np.where(hs < 0.5, 0.5 * v, v)  # weight per point of the full grid
     wpad = np.concatenate([[0.0], w, [0.0]])
     is_max = (wpad[1:-1] >= wpad[:-2]) & (wpad[1:-1] >= wpad[2:]) & (w > 1e-5)
-    idx = np.flatnonzero(is_max)
-    pts, wts = [], []
-    for i in idx:
-        s = slice(max(0, i - 3), min(len(grid), i + 4))
-        win = w[s]
-        pts.append(float(np.dot(grid[s], win) / win.sum()))
-        wts.append(float(win.sum()))
-    pts = np.asarray(pts)
-    wts = np.asarray(wts)
-    if len(pts) == 0 or pts[0] > 1e-9:
-        pts = np.concatenate([[0.0], pts])
-        wts = np.concatenate([[1e-2], wts])
-    else:
-        pts[0] = 0.0
-    if pts[-1] < 1.0 - 1e-9:
-        pts = np.concatenate([pts, [1.0]])
-        wts = np.concatenate([wts, [1e-2]])
-    else:
-        pts[-1] = 1.0
-    pts, wts = _merge_sorted(pts, wts, 3.0 / config.grid_size)
-    pts[0], pts[-1] = 0.0, 1.0
-    wts = wts / wts.sum()
-    return _fold_mirror(pts, wts, config.merge_radius)
+    # windows past 1/2 read the mirror weights; their centroids stay <= 1/2
+    wfull = np.concatenate([w, w[-2::-1]])
+    pts, wts = [0.0], [1e-2]
+    for i in np.flatnonzero(is_max):
+        j = np.arange(max(0, i - 3), min(2 * c, i + 3) + 1)
+        pts.append(float(np.dot(j, wfull[j]) / wfull[j].sum()) * hs[1])
+        wts.append(float(wfull[j].sum()))
+    return _merge_half(np.asarray(pts), np.asarray(wts),
+                       max(3.0 / config.grid_size, config.merge_radius))
 
 
 # ---------------------------------------------------------------------------
-# joint optimality-system Newton (internal)
+# joint optimality-system Newton on the half support (internal)
 # ---------------------------------------------------------------------------
 
-def _kkt_residual(spec: ChannelSpec, pts: np.ndarray, w: np.ndarray, C: float):
-    """Residual of the stationarity system in (w, x_int, C).
+def _kkt_residual(spec: ChannelSpec, h: np.ndarray, v: np.ndarray, C: float,
+                  interior: np.ndarray):
+    """Residual of the stationarity system in (v, h_int, C).
 
-    Rows: i(x_k) - C for every atom, the density derivative at interior
-    atoms, and the weight normalization.  Returns (F, i(x_k), terms), where
-    terms = (logP, P, q, logq, P', i') feed the Jacobian, or (None, None,
-    None) when some output is starved of probability.
+    Rows: i(h_k) - C for every orbit, the density derivative at the atoms
+    `interior`, and the mass normalization.  Returns (F, i(h_k), terms),
+    where terms = (interior, P, R, q, P', i', i'') feed the Jacobian, or
+    (None, None, None) when some output is starved of probability.
     """
-    interior = np.flatnonzero((pts > 0.0) & (pts < 1.0))
-    logP = log_pmf_matrix(spec, pts)
+    logP = log_pmf_matrix(spec, h)
     P = np.exp(logP)
-    q = w @ P
+    R = _mirror_mix(P)
+    q = v @ R
     if np.any(q <= 0.0):
         return None, None, None
-    logq = np.log(q)
-    ival, Pp, ip = _info_terms(spec, pts, logP, P, logq, interior)
-    F = np.concatenate([ival - C, ip, [w.sum() - 1.0]])
-    return F, ival, (logP, P, q, logq, Pp, ip)
+    ival, Pp, ip, ipp = _info_terms(spec, h, logP, P, np.log(q), interior)
+    F = np.concatenate([ival - C, ip, [v.sum() - 1.0]])
+    return F, ival, (interior, P, R, q, Pp, ip, ipp)
 
 
-def _kkt_system(spec: ChannelSpec, pts: np.ndarray, w: np.ndarray, terms) -> np.ndarray:
-    """Jacobian of the stationarity system in (w, x_int, C).
+def _kkt_system(spec: ChannelSpec, h: np.ndarray, v: np.ndarray, terms) -> np.ndarray:
+    """Jacobian of the stationarity system in (v, h_int, C).
 
-    `terms` are the ones `_kkt_residual` returned at (pts, w).  Weights enter
-    linearly so the Newton solution signals superfluous atoms by negative
-    weights.
+    `terms` are the ones `_kkt_residual` returned at (h, v).  Masses enter
+    linearly so the Newton solution signals superfluous orbits by negative
+    masses.  An interior atom moves q through its orbit's row, R' = dR/dh.
     """
-    logP, P, q, logq, Pp, ip = terms
-    n = spec.n
-    K = len(pts)
-    interior = np.flatnonzero((pts > 0.0) & (pts < 1.0))
-    m = len(interior)
-    xi = pts[interior]
-    y = np.arange(n + 1)
-
-    Pq = P / q
+    interior, P, R, q, Pp, ip, ipp = terms
+    K, m = len(h), len(interior)
+    Rq = R / q
+    Rpq = _mirror_mix(Pp) / q
+    diag = K + np.arange(m)
     J = np.zeros((K + m + 1, K + m + 1))
-    J[:K, :K] = -(P @ Pq.T)
-    cross = P @ (Pp / q[None, :]).T
-    J[:K, K:K + m] = -cross * w[interior][None, :]
-    for a, j in enumerate(interior):
-        J[j, K + a] += ip[a]
+    J[:K, :K] = -(P @ Rq.T)
+    J[:K, K:K + m] = -(P @ Rpq.T) * v[interior]
+    J[interior, diag] += ip
     J[:K, K + m] = -1.0
-    J[K:K + m, :K] = -(Pp @ Pq.T)
-    J[K:K + m, K:K + m] = -(Pp @ (Pp / q[None, :]).T) * w[interior][None, :]
-    Ppp = P[interior] * (((y[None, :] - n * xi[:, None]) ** 2
-                          - y[None, :] * (1.0 - 2.0 * xi[:, None]) - n * xi[:, None] ** 2)
-                         / (xi * (1.0 - xi))[:, None] ** 2)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        curv = np.where(P[interior] > 0, Pp ** 2 / P[interior], 0.0)
-    i2_frozen = np.sum(Ppp * (logP[interior] - logq), axis=1) + np.sum(curv, axis=1)
-    J[K + np.arange(m), K + np.arange(m)] += i2_frozen
+    J[K:K + m, :K] = -(Pp @ Rq.T)
+    J[K:K + m, K:K + m] = -(Pp @ Rpq.T) * v[interior]
+    J[diag, diag] += ipp
     J[K + m, :K] = 1.0
     return J
 
 
-def _kkt_newton(spec: ChannelSpec, pts: np.ndarray, w: np.ndarray,
-                max_iter: int = 60, tol: float = 1e-13):
+def _kkt_newton(spec: ChannelSpec, h: np.ndarray, v: np.ndarray,
+                max_iter: int = 60, tol: float = 1e-13, fixed: int | None = None):
     """Damped Newton on the stationarity system.
 
-    Returns (pts, w, status, residual) with status 'ok' (solved, all weights
-    positive), 'neg' (solved, some weight nonpositive: drop that atom) or
-    'stall' (no progress; caller should fall back to direct ascent).  The
-    residual of an accepted step is carried into the next iteration, so each
-    iteration forms only the Jacobian anew.
+    Returns (h, v, status, residual) with status 'ok' (solved, all masses
+    positive), 'neg' (solved, some mass nonpositive: drop that orbit) or
+    'stall' (no progress).  The residual of an accepted step is carried into
+    the next iteration.  The atoms in (0, 1/2) at the start move, each
+    between the midpoints to its neighbours (the last one's is 1/2).  With
+    `fixed` = j, v_j stays as given and the row i(h_j) = C is left out.
     """
-    pts = pts.copy()
-    w = w.copy()
-    interior = np.flatnonzero((pts > 0.0) & (pts < 1.0))
-    K, m = len(pts), len(interior)
-    F, ival, terms = _kkt_residual(spec, pts, w, 0.0)
+    h = h.copy()
+    v = v.copy()
+    interior = np.flatnonzero((h > 0.0) & (h < 0.5))
+    K, m = len(h), len(interior)
+    keep = np.arange(K + m + 1) != fixed
+    F, ival, terms = _kkt_residual(spec, h, v, 0.0, interior)
     if F is None:
-        return pts, w, "stall", np.inf
-    C = float(w @ ival)
+        return h, v, "stall", np.inf
+    C = float(v @ ival)
     F[:K] = ival - C
     fn = np.inf
     for _ in range(max_iter):
-        fn = float(np.abs(F).max())
+        fn = float(np.abs(F[keep]).max())
         if fn <= tol:
             break
-        J = _kkt_system(spec, pts, w, terms)
+        J = _kkt_system(spec, h, v, terms)[np.ix_(keep, keep)]
         try:
-            step = np.linalg.solve(J, -F)
+            step = np.linalg.solve(J, -F[keep])
         except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(J, -F, rcond=None)[0]
+            step = np.linalg.lstsq(J, -F[keep], rcond=None)[0]
 
-        def try_step(step):
+        def try_step(reduced):
+            step = np.zeros(K + m + 1)
+            step[keep] = reduced
+            mid = np.append(0.5 * (h[:-1] + h[1:]), 0.5)
+            lo_b, hi_b = mid[interior - 1], mid[interior]
             for damp in (1.0, 0.5, 0.25, 0.1, 0.03, 0.01, 0.003):
-                nw = w + damp * step[:K]
-                npts = pts.copy()
-                if m:
-                    xi = pts[interior] + damp * step[K:K + m]
-                    lo_b = 0.5 * (pts[interior - 1] + pts[interior])
-                    hi_b = 0.5 * (pts[interior] + pts[interior + 1])
-                    npts[interior] = np.minimum(np.maximum(xi, lo_b), hi_b)
+                nv = v + damp * step[:K]
+                nh = h.copy()
+                nh[interior] = np.minimum(np.maximum(h[interior] + damp * step[K:K + m],
+                                                     lo_b), hi_b)
                 nC = C + damp * step[K + m]
-                F2, _, terms2 = _kkt_residual(spec, npts, nw, nC)
-                if F2 is not None and np.abs(F2).max() < fn:
-                    return npts, nw, nC, F2, terms2
+                F2, _, terms2 = _kkt_residual(spec, nh, nv, nC, interior)
+                if F2 is not None and np.abs(F2[keep]).max() < fn:
+                    return nh, nv, nC, F2, terms2
             return None
 
         moved = try_step(step)
         if moved is None:
             # regularized retry for ill-conditioned transition regimes
             JtJ = J.T @ J
-            JtF = J.T @ F
+            JtF = J.T @ F[keep]
             scale = float(np.trace(JtJ)) / JtJ.shape[0]
             for lam in (1e-10, 1e-6, 1e-3, 1e-1):
                 try:
@@ -400,13 +390,13 @@ def _kkt_newton(spec: ChannelSpec, pts: np.ndarray, w: np.ndarray,
                     break
         if moved is None:
             break
-        pts, w, C, F, terms = moved
+        h, v, C, F, terms = moved
     solved = fn <= 1e-10
-    if solved and np.all(w > 0):
-        return pts, w, "ok", fn
+    if solved and np.all(v > 0):
+        return h, v, "ok", fn
     if solved:
-        return pts, w, "neg", fn
-    return pts, w, "stall", fn
+        return h, v, "neg", fn
+    return h, v, "stall", fn
 
 
 def _logsumexp(a: np.ndarray) -> np.float64:
@@ -423,100 +413,139 @@ def _logsumexp(a: np.ndarray) -> np.float64:
     return (np.log1p(s) + np.log(m) + a_max)[0]
 
 
-def _ascend_information(spec: ChannelSpec, pts: np.ndarray, ws: np.ndarray):
-    """Directly maximize I over interior positions and weights (L-BFGS).
+def _ascend_information(spec: ChannelSpec, h: np.ndarray, v: np.ndarray):
+    """Directly maximize I over orbit positions and masses (L-BFGS).
 
     Robust near support-splitting transitions where the Newton system is
-    singular: the ascent is monotone and the capacity value converges even
-    when individual atom positions are poorly determined.
+    singular.  Atoms in (0, 1/2) move as h = sigmoid(z), z <= 0; a centre
+    atom as h = 1/2 - sqrt(u), u >= 0: I is even in h - 1/2, so its slope
+    in u at u = 0 is v i''(1/2) / 2, not 0, and the atom can split.
     """
-    pts = pts.copy()
-    K = len(pts)
-    interior = np.flatnonzero((pts > 0.0) & (pts < 1.0))
+    K = len(h)
+    moving = np.flatnonzero(h > 0.0)
+    pair = h[moving] < 0.5
 
     def unpack(z):
-        w = np.exp(z[:K] - _logsumexp(z[:K]))
-        x = pts.copy()
-        x[interior] = 1.0 / (1.0 + np.exp(-z[K:]))
-        return w, x
+        x = h.copy()
+        x[moving] = np.where(pair, 1.0 / (1.0 + np.exp(-z[K:])), 0.5 - np.sqrt(np.abs(z[K:])))
+        return np.exp(z[:K] - _logsumexp(z[:K])), x
 
     def neg_info(z):
         w, x = unpack(z)
         logP = log_pmf_matrix(spec, x)
         P = np.exp(logP)
-        logq = np.log(np.maximum(w @ P, _TINY_Q))
-        ival, _, ip = _info_terms(spec, x, logP, P, logq, interior)
+        logq = np.log(np.maximum(w @ _mirror_mix(P), _TINY_Q))
+        ival, _, ip, ipp = _info_terms(spec, x, logP, P, logq, moving)
         I = float(w @ ival)
-        xi = x[interior]
-        grad = np.concatenate([w * (ival - I), w[interior] * ip * xi * (1.0 - xi)])
-        return -I, -grad
+        xm = x[moving]
+        # dI/du = -v i'(h) / (2 sqrt(u)); within 1e-6 of 1/2, i'(h) / (h - 1/2)
+        # is i''(h) to O(u) and the quotient would only add rounding
+        r = 0.5 - xm
+        slope = np.where(pair, ip * xm * (1.0 - xm), 0.5 * ipp)
+        far = ~pair & (r > 1e-6)
+        slope[far] = -ip[far] / (2.0 * r[far])
+        return -I, -np.concatenate([w * (ival - I), w[moving] * slope])
 
-    t0 = np.log(pts[interior] / (1.0 - pts[interior]))
-    z0 = np.concatenate([np.log(np.maximum(ws, 1e-300)), t0])
-    res = minimize(neg_info, z0, jac=True, method="L-BFGS-B",
+    hm = h[moving]
+    z0 = np.concatenate([np.log(np.maximum(v, 1e-300)),
+                         np.where(pair, np.log(hm / (1.0 - hm)), 0.0)])
+    bounds = [(None, None)] * K + [(None, 0.0) if p else (0.0, 0.25 - 1e-9) for p in pair]
+    res = minimize(neg_info, z0, jac=True, method="L-BFGS-B", bounds=bounds,
                    options=dict(maxiter=20000, maxfun=40000, ftol=1e-18, gtol=1e-14))
     w, x = unpack(res.x)
     order = np.argsort(x)
     return x[order], w[order]
 
 
-def _drop_atom(pts: np.ndarray, ws: np.ndarray, j: int):
-    """Remove atom j together with its mirror image."""
-    keep = np.ones(len(pts), dtype=bool)
-    keep[j] = False
-    if abs(pts[j] - 0.5) > 1e-12:
-        jm = int(np.argmin(np.abs(pts - (1.0 - pts[j]))))
-        if abs(pts[jm] - (1.0 - pts[j])) < 1e-9:
-            keep[jm] = False
-    return pts[keep], ws[keep]
+def _clean_structure(h, v, config: SolverConfig, drop_w: float):
+    """Prune near-dead orbits (never the endpoint one) and merge collisions."""
+    keep = v > drop_w
+    keep[0] = True
+    nh, nv = _merge_half(h[keep], v[keep], config.merge_radius)
+    return nh, nv, not np.array_equal(nh, h)
 
 
-def _clean_structure(pts, ws, config: SolverConfig, drop_w: float):
-    """Prune near-dead atoms, merge collisions, enforce symmetry."""
-    before = len(pts)
-    keep = ws > drop_w
-    keep[0] = keep[-1] = True
-    pts, ws = pts[keep], ws[keep] / ws[keep].sum()
-    pts, ws = _fold_mirror(pts, ws, config.merge_radius)
-    return pts, ws, len(pts) != before
+def _continue_mass(spec: ChannelSpec, h: np.ndarray, v: np.ndarray, j: int):
+    """Solve the optimality conditions by continuation in orbit j's mass.
+
+    Near a support-splitting transition the residual stays near 1e-6 along a
+    valley of masses and positions that neither Newton nor the ascent
+    travels.  With v_j fixed and its equality left out the system is
+    regular: v_j is stepped until g = i(h_j) - C changes sign, and secant
+    steps find the root of g, where the whole system holds.  If v_j cannot
+    be fixed, orbit j is dropped instead.  Returns an 'ok' result or None.
+    """
+    def solve(t, h, v):
+        h, v, status, _ = _kkt_newton(spec, h, np.where(np.arange(len(v)) == j, t, v),
+                                      max_iter=20, fixed=j)
+        if status != "ok":
+            return None
+        ival = _kkt_residual(spec, h, v, 0.0, np.arange(0))[1]
+        return t, h, v, float(ival[j] - ival[0])
+
+    lo = solve(v[j], h, v)
+    if lo is None:
+        nh, nv, status, _ = _kkt_newton(spec, np.delete(h, j), np.delete(v, j))
+        return (nh, nv / nv.sum()) if status == "ok" else None
+    factor = 1.5 if lo[3] > 0 else 0.5
+    for _ in range(12):
+        hi = solve(lo[0] * factor, *lo[1:3])
+        if hi is None:
+            return None
+        if (hi[3] > 0) != (lo[3] > 0):
+            break
+        lo = hi
+    else:
+        return None
+    for _ in range(8):
+        near = min(lo, hi, key=lambda e: abs(e[3]))
+        if abs(near[3]) <= 1e-13:
+            break
+        mid = solve((hi[0] * lo[3] - lo[0] * hi[3]) / (lo[3] - hi[3]), *near[1:3])
+        if mid is None:
+            return None
+        lo, hi = (mid, hi) if (mid[3] > 0) == (lo[3] > 0) else (lo, mid)
+    nh, nv, status, _ = _kkt_newton(spec, near[1], near[2])
+    return (nh, nv / nv.sum()) if status == "ok" else None
 
 
-def _polish(spec: ChannelSpec, pts: np.ndarray, ws: np.ndarray, config: SolverConfig):
-    """Fixed-structure solve: Newton fast path, ascent fallback, atom drops.
+def _polish(spec: ChannelSpec, h: np.ndarray, v: np.ndarray, config: SolverConfig):
+    """Fixed-structure solve: Newton fast path, ascent fallback, orbit drops.
 
     A Newton stall that survives the ascent signals a cluster of
     interchangeable atoms at a support-splitting transition; the tightest
-    cluster is then collapsed with an escalated merge radius (kept well
-    below any legitimate atom spacing) and the solve is retried.
+    cluster (the last atom's gap is to its mirror) is then collapsed with an
+    escalated merge radius, kept well below any legitimate atom spacing;
+    without such a cluster the lightest orbit's mass is continued.
     """
-    npts, nw, status, fn = _kkt_newton(spec, pts, ws)
+    nh, nv, status, fn = _kkt_newton(spec, h, v)
     for _ in range(12):
         if status == "ok":
-            return npts, nw / nw.sum()
+            return nh, nv / nv.sum()
         if status == "neg":
-            j = int(np.argmin(nw))
-            if npts[j] in (0.0, 1.0):
+            j = int(np.argmin(nv))
+            if j == 0:
                 break
-            log.debug("polish: dropping atom %.6f (weight %.2e)", npts[j], nw[j])
-            pts, ws = _drop_atom(npts, nw, j)
-            ws = np.maximum(ws, config.prune_weight)
-            ws = ws / ws.sum()
+            log.debug("polish: dropping atom %.6f (mass %.2e)", nh[j], nv[j])
+            h = np.delete(nh, j)
+            v = np.maximum(np.delete(nv, j), config.prune_weight)
+            v = v / v.sum()
         else:
             log.debug("polish: Newton stalled (residual %.1e); direct ascent", fn)
-            pts, ws = _ascend_information(spec, pts, ws)
-            pts, ws, changed = _clean_structure(pts, ws, config, drop_w=1e-7)
+            h, v = _ascend_information(spec, h, v)
+            h, v, changed = _clean_structure(h, v, config, drop_w=1e-7)
             if not changed:
-                npts, nw, status, fn = _kkt_newton(spec, pts, ws)
+                nh, nv, status, fn = _kkt_newton(spec, h, v)
                 if status == "ok":
-                    return npts, nw / nw.sum()
-                tight = float(np.diff(pts).min()) if len(pts) > 1 else np.inf
+                    return nh, nv / nv.sum()
+                tight = float(np.append(np.diff(h), 2.0 * (0.5 - h[-1]) or np.inf).min())
                 if tight < max(10 * config.merge_radius, 0.5 / spec.n):
                     log.debug("polish: collapsing cluster at gap %.2e", tight)
-                    pts, ws = _fold_mirror(pts, ws, 1.5 * tight)
+                    h, v = _merge_half(h, v, 1.5 * tight)
                 else:
-                    return pts, ws
-        npts, nw, status, fn = _kkt_newton(spec, pts, ws)
-    return pts, ws
+                    return _continue_mass(spec, h, v, 1 + int(np.argmin(v[1:]))) or (h, v)
+        nh, nv, status, fn = _kkt_newton(spec, h, v)
+    return h, v
 
 
 # ---------------------------------------------------------------------------
@@ -648,8 +677,10 @@ def solve_capacity(spec: ChannelSpec, config: SolverConfig | None = None) -> Sol
     Alternates weight optimization (Blahut-Arimoto) with support refinement
     until a dense certification grid shows both KKT conditions holding to
     config.kkt_tol; escape atoms are inserted where the information density
-    still exceeds the capacity estimate.  For n = 1 the known two-point
-    solution is returned immediately.
+    still exceeds the capacity estimate.  The solve state is a half support
+    on [0, 1/2] with one mass per mirror orbit; it becomes an input on
+    [0, 1] only for certification and the report.  For n = 1 the known
+    two-point solution is returned immediately.
     """
     config = config or SolverConfig()
     n = spec.n
@@ -658,40 +689,37 @@ def solve_capacity(spec: ChannelSpec, config: SolverConfig | None = None) -> Sol
         return report_for_distribution(dist, spec, 10 * config.grid_size,
                                        config.kkt_tol, iterations=0, converged=True)
 
-    pts, ws = _seed_support(spec, config)
+    h, v = _seed_support(spec, config)
     stall = 0
     best = None
     for outer in range(1, config.max_outer_iters + 1):
-        w2, lo, hi, _, D, _ = _ba_core(spec, pts, config.ba_tol, max_iters=3000,
-                                       defect_tol=config.kkt_tol / 2)
+        v2, lo, hi, _, D, _ = _ba_core(spec, h, config.ba_tol, max_iters=3000,
+                                       defect_tol=config.kkt_tol / 2, orbits=True)
         gap = hi - lo
-        drop = ((w2 < 1e-6) & (D < lo - 10 * max(gap, config.kkt_tol))) \
-            | (w2 < config.prune_weight)
-        drop[0] = drop[-1] = False
-        pts, ws = pts[~drop], w2[~drop] / w2[~drop].sum()
+        drop = ((v2 < 1e-6) & (D < lo - 10 * max(gap, config.kkt_tol))) \
+            | (v2 < config.prune_weight)
+        drop[0] = False
+        h, v = h[~drop], v2[~drop] / v2[~drop].sum()
 
-        pts, ws = _polish(spec, pts, ws, config)
-        pts, ws, _ = _clean_structure(pts, ws, config, drop_w=config.prune_weight)
+        h, v = _polish(spec, h, v, config)
+        h, v, _ = _clean_structure(h, v, config, drop_w=config.prune_weight)
 
-        dist = DiscreteInput(pts, ws)
+        dist = _full_input(h, v)
         summary, xs, ivals = _certify(dist, spec, 10 * config.grid_size,
                                       config.kkt_tol, config.merge_radius)
-        best = (dist, summary, outer)
         if summary.slack <= config.kkt_tol and summary.equality_defect <= config.kkt_tol:
             return _report(spec, dist, summary, outer, converged=True)
-
-        new_pts = _escape_candidates(xs, ivals, summary.capacity_nats, pts,
-                                     config)
-        if len(new_pts) == 0:
-            stall += 1
-            if stall >= 5:
-                break
-        else:
-            stall = 0
-            pts = np.concatenate([pts, new_pts])
-            ws = np.concatenate([ws, np.full(len(new_pts), 1e-3)])
-            order = np.argsort(pts)
-            pts, ws = pts[order], ws[order] / ws[order].sum()
+        stall = 0 if best is None or summary.slack < best[1].slack else stall + 1
+        if stall == 0:
+            best = (dist, summary, outer)
+        elif stall >= 5:
+            break
+        new = _escape_candidates(xs, ivals, summary.capacity_nats, dist.points, config)
+        if len(new):
+            h = np.concatenate([h, new])
+            v = np.concatenate([v, np.full(len(new), 1e-3)])
+            order = np.argsort(h)
+            h, v = h[order], v[order] / v[order].sum()
 
     dist, summary, outer = best
     log.warning("solve_capacity(n=%d): not certified after %d outer iterations "
@@ -701,23 +729,24 @@ def solve_capacity(spec: ChannelSpec, config: SolverConfig | None = None) -> Sol
 
 
 def _escape_candidates(xs, ivals, cap, pts, config: SolverConfig) -> np.ndarray:
-    """Positions where the density still exceeds capacity: next support atoms.
+    """Where the density still exceeds capacity: the next atom in [0, 1/2].
 
-    Takes the single largest strict local maximum of the slack together with
-    its mirror, ignoring peaks that are just unconverged copies of existing
-    atoms.
+    i is even about 1/2, so the grid points in [0, 1/2] see every peak (past
+    the last one the slack counts as lower).  Takes the largest strict local
+    maximum of the slack, ignoring copies of the atoms pts on [0, 1].
     """
-    s = ivals - cap
+    half = xs <= 0.5
+    xs = xs[half]
+    s = ivals[half] - cap
     if not np.all(np.isfinite(s)):
         bad = np.flatnonzero(~np.isfinite(s))
         new = np.array([xs[bad[len(bad) // 2]]])
     else:
+        s = np.append(s, -np.inf)
         loc = np.flatnonzero((s[1:-1] > s[:-2]) & (s[1:-1] >= s[2:])
                              & (s[1:-1] > config.kkt_tol)) + 1
         if len(loc) == 0:
             return np.array([])
         new = np.array([xs[loc[np.argmax(s[loc])]]])
-    gap_min = float(np.diff(pts).min()) if len(pts) > 1 else 0.1
-    radius = max(5 * config.merge_radius, 0.25 * gap_min)
-    new = np.unique(np.concatenate([new, 1.0 - new]))
+    radius = max(5 * config.merge_radius, 0.25 * float(np.diff(pts).min()))
     return new[np.min(np.abs(new[:, None] - pts[None, :]), axis=1) > radius]

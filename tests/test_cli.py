@@ -221,6 +221,17 @@ class TestCurvesCommand:
         assert (tmp_path / "curves.density.csv").exists()
         assert (tmp_path / "curves.crest.csv").exists()
 
+    @pytest.mark.parametrize("points", ["0", "1", "2", "-2"])
+    def test_rejects_points_below_three(self, capsys, monkeypatch, points):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solve_capacity ran before --points was checked")
+
+        monkeypatch.setattr("binomcap.cli.solve_capacity", no_solve)
+        code, out, err = run_cli(capsys, "curves", "--n", "2", "--points", points)
+        assert code == 2
+        assert out == ""
+        assert "--points must be >= 3" in err
+
 
 class TestEntropyBoundsCommand:
     def test_sandwich_rows(self, capsys):

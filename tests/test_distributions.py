@@ -20,7 +20,13 @@ from binomcap import (
     posterior_mean,
 )
 from binomcap import distributions
-from binomcap.distributions import _CHUNK_CELLS, _info_density_against_logq, log_output_pmf
+from binomcap.density import info_density_second
+from binomcap.distributions import (
+    _CHUNK_CELLS,
+    _info_density_against_logq,
+    _info_terms,
+    log_output_pmf,
+)
 from binomcap.kernel import log_binom_coeffs, log_pmf_matrix
 
 
@@ -230,6 +236,36 @@ class TestDensitySweep:
         assert not np.isnan(got).any()
         assert np.all(got[1:-1] == np.inf)
         assert got[0] == got[-1] == pytest.approx(math.log(2), abs=1e-15)
+
+
+class TestInfoTerms:
+    @pytest.mark.parametrize("n", [10, 75, 256])
+    def test_second_derivative_matches_moment_ratio_form(self, solved, n):
+        # i'' from the frozen-output channel rows against the independent
+        # posterior-mean form of density.py, at the interior atoms of a solve.
+        # At an atom i'' is a small difference of terms of size n / (x(1-x))
+        # (at n = 256 down to 1e-5 of it), so the error is measured on that
+        # scale; pointwise it reaches 2.5e-8 of i'' there.
+        report = solved(n) if n < 256 else solved(n, max_outer_iters=16)
+        spec = ChannelSpec(n)
+        pts = report.input.points
+        xs = pts[(pts > 0) & (pts < 1)]
+        logP = log_pmf_matrix(spec, xs)
+        ipp = _info_terms(spec, xs, logP, np.exp(logP), log_output_pmf(report.input, spec),
+                          slice(None))[3]
+        ref = info_density_second(xs, report.input, spec)
+        assert np.max(np.abs(ipp - ref) * xs * (1 - xs) / n) <= 1e-10
+
+    def test_derivatives_only_on_interior_rows(self):
+        spec = ChannelSpec(6)
+        xs = np.array([0.0, 0.3, 0.5, 1.0])
+        logP = log_pmf_matrix(spec, xs)
+        logq = np.log(np.full(7, 1.0 / 7))
+        ival, Pp, ip, ipp = _info_terms(spec, xs, logP, np.exp(logP), logq, [1, 2])
+        assert ival.shape == (4,) and Pp.shape == (2, 7)
+        assert ip.shape == ipp.shape == (2,)
+        assert ip[1] == pytest.approx(0.0, abs=1e-12)  # uniform q: i is even about 1/2
+        assert np.array_equal(_info_terms(spec, xs, logP, np.exp(logP), logq), ival)
 
 
 class TestMutualInformation:

@@ -16,6 +16,15 @@ from binomcap import (
     solve_capacity,
 )
 from binomcap.kernel import log_pmf_matrix
+from binomcap.solver import _ba_core, _kkt_residual, _kkt_system
+
+
+def _half(report):
+    """Half support of a symmetric report: its atoms in [0, 1/2] and the
+    mass of each one's orbit {h, 1 - h}."""
+    pts, w = report.input.points, report.input.weights
+    h = pts[pts <= 0.5].copy()
+    return h, np.where(h < 0.5, 2.0, 1.0) * w[:len(h)]
 
 
 def _mask_indexed_ba(spec, xs, tol, max_iters):
@@ -169,11 +178,69 @@ class TestSolveCapacity:
             resid = info_density_prime(inner, report.input, ChannelSpec(n))
             assert np.max(np.abs(resid)) <= 1e-9
 
+    @pytest.mark.parametrize("n", [40, 64, 100, 110, 128, 140])
+    def test_certifies_mid_range(self, solved, n):
+        report = solved(n)
+        assert report.converged
+        assert report.kkt_slack <= 1e-8
+        assert report.equality_defect <= 1e-8
+
+    @pytest.mark.parametrize("n", [2, 3, 10, 24, 40])
+    def test_report_exactly_symmetric(self, solved, n):
+        report = solved(n)
+        pts, w = report.input.points, report.input.weights
+        K = len(pts)
+        assert all(w[k] == w[K - 1 - k] for k in range(K))
+        # the atoms past 1/2 are formed as 1 - h from the ones in [0, 1/2]
+        assert all(pts[K - 1 - k] == 1.0 - pts[k] for k in range((K + 1) // 2))
+        assert report.flags["symmetry_defect"] == 0.0
+
     def test_json_payload_schema(self, solved):
         payload = solved(2).to_dict()
         assert list(payload.keys()) == ["n", "capacity_nats", "kkt_slack", "support",
                                         "weights", "output_pmf", "flags", "iterations",
                                         "converged"]
+
+
+class TestHalfSupport:
+    @pytest.mark.parametrize("n,centre", [(24, True), (128, False)])
+    def test_jacobian_matches_central_differences(self, solved, n, centre):
+        spec = ChannelSpec(n)
+        h, v = _half(solved(n))
+        if centre:
+            h, v = np.append(h, 0.5), np.append(v, 0.05)
+        assert (h[-1] == 0.5) == centre
+        rng = np.random.default_rng(n)
+        interior = np.flatnonzero((h > 0) & (h < 0.5))
+        h[interior] += 2e-3 * rng.uniform(-1.0, 1.0, len(interior))
+        v = v * rng.uniform(0.8, 1.2, len(v))
+        v /= v.sum()
+        K, m = len(h), len(interior)
+
+        def resid(z):
+            x = h.copy()
+            x[interior] = z[K:K + m]
+            return _kkt_residual(spec, x, z[:K], z[-1], interior)[0]
+
+        z = np.concatenate([v, h[interior], [1.5]])
+        J = _kkt_system(spec, h, v, _kkt_residual(spec, h, v, z[-1], interior)[2])
+        num = np.empty_like(J)
+        for j in range(len(z)):
+            e = np.zeros(len(z))
+            e[j] = 1e-7 if K <= j < K + m else 1e-6
+            num[:, j] = (resid(z + e) - resid(z - e)) / (2 * e[j])
+        assert J.shape == (K + m + 1, K + m + 1)
+        assert np.max(np.abs(num - J)) <= 1e-6 * np.max(np.abs(J))
+
+    @pytest.mark.parametrize("n", [10, 24, 128])
+    def test_orbit_ba_matches_full_grid(self, n):
+        spec = ChannelSpec(n)
+        full = blahut_arimoto(spec, np.linspace(0.0, 1.0, 2049), 1e-6, max_iters=2000)
+        v, lo, *_ = _ba_core(spec, np.linspace(0.0, 0.5, 1025), 1e-6, 2000, orbits=True)
+        # orbit {k, 2048 - k} of the full grid; the centre k = 1024 is its own
+        summed = full.weights[:1025] + np.append(full.weights[2048:1024:-1], 0.0)
+        assert np.max(np.abs(v - summed)) <= 1e-13
+        assert abs(lo - full.capacity_low) <= 1e-14
 
 
 class TestSolverVariants:
