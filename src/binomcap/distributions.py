@@ -121,14 +121,15 @@ def kl_divergence(p, q) -> float:
 
 
 def _info_terms(spec: ChannelSpec, xs: np.ndarray, logP: np.ndarray, P: np.ndarray,
-                logq: np.ndarray, interior=None):
-    """Information density rows and, at the rows `interior`, two derivatives.
+                logq: np.ndarray, interior=None, second: bool = True):
+    """Information density rows and, at the rows `interior`, derivatives.
 
     Given the channel rows logP = log P(.|xs), P = exp(logP) and a frozen
     log q, returns i(x) = sum_y P (log P - log q) under the 0 log 0 = 0
     convention; with `interior` (rows with 0 < x < 1) it returns
     (i, P', i', i'') with, on those rows only, P' = P t for t = d log P / dx,
-    i' = sum_y P' (log P - log q) and i'' = sum_y (P'' (log P - log q) + P' t).
+    i' = sum_y P' (log P - log q) and i'' = sum_y (P'' (log P - log q) + P' t),
+    or (i, P', i') with second=False.
     """
     with np.errstate(invalid="ignore"):
         terms = logP - logq
@@ -143,9 +144,12 @@ def _info_terms(spec: ChannelSpec, xs: np.ndarray, logP: np.ndarray, P: np.ndarr
     Pi = P[interior]
     t = (y - n * xi) / (xi * (1.0 - xi))
     Pp = Pi * t
-    Ppp = Pi * (t * t - y / xi ** 2 - (n - y) / (1.0 - xi) ** 2)
     d = logP[interior] - logq
-    return ival, Pp, np.sum(Pp * d, axis=1), np.sum(Ppp * d, axis=1) + np.sum(Pp * t, axis=1)
+    ip = np.sum(Pp * d, axis=1)
+    if not second:
+        return ival, Pp, ip
+    Ppp = Pi * (t * t - y / xi ** 2 - (n - y) / (1.0 - xi) ** 2)
+    return ival, Pp, ip, np.sum(Ppp * d, axis=1) + np.sum(Pp * t, axis=1)
 
 
 # Cells in flight in the density sweep, summed over the CPUs that sweep it:

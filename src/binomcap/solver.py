@@ -9,18 +9,13 @@ interior pairs and a centre atom.  The solve works in three layers:
 
 1. a coarse Blahut-Arimoto pass on the orbits of a uniform grid seeds one
    atom per local maximum of the weight profile;
-2. a damped Newton iteration on the optimality conditions (equal density on
-   all orbits, zero density derivative at atoms in (0, 1/2), unit mass)
-   polishes masses and positions to machine precision; negative Newton
-   masses mark orbits to drop, and where Newton stalls near a
-   support-splitting transition a direct ascent of the mutual information,
-   then continuation in the lightest orbit's mass, sort out which atoms
-   survive;
+2. a damped Newton iteration on the optimality conditions polishes masses
+   and positions; negative masses mark orbits to drop, and where Newton
+   stalls a direct ascent of the mutual information, then continuation in
+   the lightest orbit's mass, sort out which atoms survive;
 3. the half support becomes an input on [0, 1], whose density a fine grid
-   sweep certifies; an escape atom goes where the density still pokes above
-   the capacity estimate.
-
-Merges keep the first atom on 0 and snap atoms near 1/2 onto the centre.
+   sweep certifies; where the density still exceeds the capacity an atom is
+   added, or a centre atom moves there and becomes a pair.
 """
 
 from __future__ import annotations
@@ -131,9 +126,7 @@ class SolveReport:
 def _mirror_mix(P: np.ndarray) -> np.ndarray:
     """Rows of the orbits {x, 1 - x} from the rows P(.|x): P(y | 1 - x) =
     P(n - y | x), so each is the mean of a row and its reverse."""
-    R = P + P[:, ::-1]
-    R *= 0.5
-    return R
+    return 0.5 * (P + P[:, ::-1])
 
 
 def _ba_core(spec: ChannelSpec, xs: np.ndarray, tol: float, max_iters: int,
@@ -241,9 +234,10 @@ def _merge_sorted(pts: np.ndarray, ws: np.ndarray, radius: float):
 
 
 def _merge_half(h: np.ndarray, v: np.ndarray, radius: float):
-    """Merge atoms of a half support closer than radius, keep the first atom
-    on 0, snap the others within radius of 1/2 onto it, and renormalize."""
-    h, v = _merge_sorted(h, v, radius)
+    """Sorted merge of half-support atoms closer than radius: the first atom
+    stays on 0, others within radius of 1/2 snap onto it; renormalized."""
+    order = np.argsort(h, kind="stable")
+    h, v = _merge_sorted(h[order], v[order], radius)
     h[0] = 0.0
     h[1:][0.5 - h[1:] <= radius] = 0.5
     return h, v / v.sum()
@@ -330,15 +324,14 @@ def _kkt_newton(spec: ChannelSpec, h: np.ndarray, v: np.ndarray,
                 max_iter: int = 60, tol: float = 1e-13, fixed: int | None = None):
     """Damped Newton on the stationarity system.
 
-    Returns (h, v, status, residual) with status 'ok' (solved, all masses
-    positive), 'neg' (solved, some mass nonpositive: drop that orbit) or
-    'stall' (no progress).  The residual of an accepted step is carried into
-    the next iteration.  The atoms in (0, 1/2) at the start move, each
-    between the midpoints to its neighbours (the last one's is 1/2).  With
-    `fixed` = j, v_j stays as given and the row i(h_j) = C is left out.
+    Returns (h, v, status, residual): 'ok' (solved, all masses positive),
+    'neg' (solved, some mass nonpositive: drop that orbit) or 'stall' (the
+    residual stopped halving every ten steps above 1e-10).  The atoms in
+    (0, 1/2) at the start move, each between the midpoints to its neighbours
+    (the last one's is 1/2); until solved, regularized steps back up damped
+    ones.  With `fixed` = j, v_j stays as given and its row i(h_j) = C goes.
     """
-    h = h.copy()
-    v = v.copy()
+    h, v = h.copy(), v.copy()
     interior = np.flatnonzero((h > 0.0) & (h < 0.5))
     K, m = len(h), len(interior)
     keep = np.arange(K + m + 1) != fixed
@@ -347,10 +340,10 @@ def _kkt_newton(spec: ChannelSpec, h: np.ndarray, v: np.ndarray,
         return h, v, "stall", np.inf
     C = float(v @ ival)
     F[:K] = ival - C
-    fn = np.inf
+    seen = []
     for _ in range(max_iter):
-        fn = float(np.abs(F[keep]).max())
-        if fn <= tol:
+        seen.append(fn := float(np.abs(F[keep]).max()))
+        if fn <= tol or len(seen) > 10 and fn > 0.5 * seen[-11]:
             break
         J = _kkt_system(spec, h, v, terms)[np.ix_(keep, keep)]
         try:
@@ -366,8 +359,7 @@ def _kkt_newton(spec: ChannelSpec, h: np.ndarray, v: np.ndarray,
             for damp in (1.0, 0.5, 0.25, 0.1, 0.03, 0.01, 0.003):
                 nv = v + damp * step[:K]
                 nh = h.copy()
-                nh[interior] = np.minimum(np.maximum(h[interior] + damp * step[K:K + m],
-                                                     lo_b), hi_b)
+                nh[interior] = np.clip(h[interior] + damp * step[K:K + m], lo_b, hi_b)
                 nC = C + damp * step[K + m]
                 F2, _, terms2 = _kkt_residual(spec, nh, nv, nC, interior)
                 if F2 is not None and np.abs(F2[keep]).max() < fn:
@@ -375,7 +367,7 @@ def _kkt_newton(spec: ChannelSpec, h: np.ndarray, v: np.ndarray,
             return None
 
         moved = try_step(step)
-        if moved is None:
+        if moved is None and fn > 1e-10:
             # regularized retry for ill-conditioned transition regimes
             JtJ = J.T @ J
             JtF = J.T @ F[keep]
@@ -391,66 +383,39 @@ def _kkt_newton(spec: ChannelSpec, h: np.ndarray, v: np.ndarray,
         if moved is None:
             break
         h, v, C, F, terms = moved
-    solved = fn <= 1e-10
-    if solved and np.all(v > 0):
-        return h, v, "ok", fn
-    if solved:
-        return h, v, "neg", fn
-    return h, v, "stall", fn
-
-
-def _logsumexp(a: np.ndarray) -> np.float64:
-    """scipy.special.logsumexp of a finite 1-d array, bit for bit.
-
-    Repeats the arithmetic of scipy 1.17 (the maxima are counted and left
-    out of the shifted sum) without its array-API dispatch: about 17 us a
-    call instead of 100 us on a 2-vCPU x86 VM, paid on every L-BFGS step.
-    """
-    a_max = np.max(a, keepdims=True)
-    at_max = a == a_max
-    m = np.sum(at_max.astype(a.dtype), keepdims=True)
-    s = np.sum(np.exp(np.where(at_max, -np.inf, a) - a_max), keepdims=True) / m
-    return (np.log1p(s) + np.log(m) + a_max)[0]
+    status = "stall" if fn > 1e-10 else "ok" if np.all(v > 0) else "neg"
+    return h, v, status, fn
 
 
 def _ascend_information(spec: ChannelSpec, h: np.ndarray, v: np.ndarray):
     """Directly maximize I over orbit positions and masses (L-BFGS).
 
-    Robust near support-splitting transitions where the Newton system is
-    singular.  Atoms in (0, 1/2) move as h = sigmoid(z), z <= 0; a centre
-    atom as h = 1/2 - sqrt(u), u >= 0: I is even in h - 1/2, so its slope
-    in u at u = 0 is v i''(1/2) / 2, not 0, and the atom can split.
+    Monotone where the Newton system is singular, near support-splitting
+    transitions.  Atoms in (0, 1/2) move as h = sigmoid(z), z <= 0.
     """
     K = len(h)
-    moving = np.flatnonzero(h > 0.0)
-    pair = h[moving] < 0.5
+    interior = np.flatnonzero((h > 0.0) & (h < 0.5))
 
     def unpack(z):
         x = h.copy()
-        x[moving] = np.where(pair, 1.0 / (1.0 + np.exp(-z[K:])), 0.5 - np.sqrt(np.abs(z[K:])))
-        return np.exp(z[:K] - _logsumexp(z[:K])), x
+        x[interior] = 1.0 / (1.0 + np.exp(-z[K:]))
+        w = np.exp(z[:K] - z[:K].max())
+        return w / w.sum(), x
 
     def neg_info(z):
         w, x = unpack(z)
         logP = log_pmf_matrix(spec, x)
         P = np.exp(logP)
         logq = np.log(np.maximum(w @ _mirror_mix(P), _TINY_Q))
-        ival, _, ip, ipp = _info_terms(spec, x, logP, P, logq, moving)
+        ival, _, ip = _info_terms(spec, x, logP, P, logq, interior, second=False)
         I = float(w @ ival)
-        xm = x[moving]
-        # dI/du = -v i'(h) / (2 sqrt(u)); within 1e-6 of 1/2, i'(h) / (h - 1/2)
-        # is i''(h) to O(u) and the quotient would only add rounding
-        r = 0.5 - xm
-        slope = np.where(pair, ip * xm * (1.0 - xm), 0.5 * ipp)
-        far = ~pair & (r > 1e-6)
-        slope[far] = -ip[far] / (2.0 * r[far])
-        return -I, -np.concatenate([w * (ival - I), w[moving] * slope])
+        xi = x[interior]
+        return -I, -np.concatenate([w * (ival - I), w[interior] * ip * xi * (1.0 - xi)])
 
-    hm = h[moving]
-    z0 = np.concatenate([np.log(np.maximum(v, 1e-300)),
-                         np.where(pair, np.log(hm / (1.0 - hm)), 0.0)])
-    bounds = [(None, None)] * K + [(None, 0.0) if p else (0.0, 0.25 - 1e-9) for p in pair]
-    res = minimize(neg_info, z0, jac=True, method="L-BFGS-B", bounds=bounds,
+    hi = h[interior]
+    z0 = np.concatenate([np.log(np.maximum(v, 1e-300)), np.log(hi / (1.0 - hi))])
+    res = minimize(neg_info, z0, jac=True, method="L-BFGS-B",
+                   bounds=[(None, None)] * K + [(None, 0.0)] * len(hi),
                    options=dict(maxiter=20000, maxfun=40000, ftol=1e-18, gtol=1e-14))
     w, x = unpack(res.x)
     order = np.argsort(x)
@@ -466,14 +431,14 @@ def _clean_structure(h, v, config: SolverConfig, drop_w: float):
 
 
 def _continue_mass(spec: ChannelSpec, h: np.ndarray, v: np.ndarray, j: int):
-    """Solve the optimality conditions by continuation in orbit j's mass.
+    """Continuation in orbit j's mass through a valley of the system.
 
-    Near a support-splitting transition the residual stays near 1e-6 along a
-    valley of masses and positions that neither Newton nor the ascent
-    travels.  With v_j fixed and its equality left out the system is
-    regular: v_j is stepped until g = i(h_j) - C changes sign, and secant
-    steps find the root of g, where the whole system holds.  If v_j cannot
-    be fixed, orbit j is dropped instead.  Returns an 'ok' result or None.
+    Near a support-splitting transition the residual stays near 1e-6 along
+    masses and positions that neither Newton nor the ascent travels.  With
+    v_j fixed and its row i(h_j) = C left out the system is regular, so v_j
+    is stepped (by a shorter factor after a failed step) until g = i(h_j) - C
+    changes sign, and secant steps find the root of g.  If g stays negative
+    as v_j falls, orbit j is dropped.  Returns a half support or None.
     """
     def solve(t, h, v):
         h, v, status, _ = _kkt_newton(spec, h, np.where(np.arange(len(v)) == j, t, v),
@@ -485,18 +450,22 @@ def _continue_mass(spec: ChannelSpec, h: np.ndarray, v: np.ndarray, j: int):
 
     lo = solve(v[j], h, v)
     if lo is None:
-        nh, nv, status, _ = _kkt_newton(spec, np.delete(h, j), np.delete(v, j))
-        return (nh, nv / nv.sum()) if status == "ok" else None
+        return None
     factor = 1.5 if lo[3] > 0 else 0.5
     for _ in range(12):
-        hi = solve(lo[0] * factor, *lo[1:3])
-        if hi is None:
-            return None
-        if (hi[3] > 0) != (lo[3] > 0):
+        hi = solve(lo[0] * factor, *lo[1:3]) or lo
+        if hi is lo:
+            factor = math.sqrt(factor)
+        elif (hi[3] > 0) != (lo[3] > 0):
             break
         lo = hi
-    else:
-        return None
+    if hi is lo:
+        if lo[3] > 0:
+            return None
+        # i(h_j) stays below C as v_j falls: orbit j does not belong
+        h, v = np.delete(lo[1], j), np.delete(lo[2], j)
+        nh, nv, status, _ = _kkt_newton(spec, h, v)
+        return (nh, nv / nv.sum()) if status == "ok" else (h, v / v.sum())
     for _ in range(8):
         near = min(lo, hi, key=lambda e: abs(e[3]))
         if abs(near[3]) <= 1e-13:
@@ -512,11 +481,9 @@ def _continue_mass(spec: ChannelSpec, h: np.ndarray, v: np.ndarray, j: int):
 def _polish(spec: ChannelSpec, h: np.ndarray, v: np.ndarray, config: SolverConfig):
     """Fixed-structure solve: Newton fast path, ascent fallback, orbit drops.
 
-    A Newton stall that survives the ascent signals a cluster of
-    interchangeable atoms at a support-splitting transition; the tightest
-    cluster (the last atom's gap is to its mirror) is then collapsed with an
-    escalated merge radius, kept well below any legitimate atom spacing;
-    without such a cluster the lightest orbit's mass is continued.
+    A Newton stall that survives the ascent marks a valley of the system
+    near a support-splitting transition, which continuation in the lightest
+    orbit's mass travels.
     """
     nh, nv, status, fn = _kkt_newton(spec, h, v)
     for _ in range(12):
@@ -527,8 +494,7 @@ def _polish(spec: ChannelSpec, h: np.ndarray, v: np.ndarray, config: SolverConfi
             if j == 0:
                 break
             log.debug("polish: dropping atom %.6f (mass %.2e)", nh[j], nv[j])
-            h = np.delete(nh, j)
-            v = np.maximum(np.delete(nv, j), config.prune_weight)
+            h, v = np.delete(nh, j), np.maximum(np.delete(nv, j), config.prune_weight)
             v = v / v.sum()
         else:
             log.debug("polish: Newton stalled (residual %.1e); direct ascent", fn)
@@ -538,12 +504,7 @@ def _polish(spec: ChannelSpec, h: np.ndarray, v: np.ndarray, config: SolverConfi
                 nh, nv, status, fn = _kkt_newton(spec, h, v)
                 if status == "ok":
                     return nh, nv / nv.sum()
-                tight = float(np.append(np.diff(h), 2.0 * (0.5 - h[-1]) or np.inf).min())
-                if tight < max(10 * config.merge_radius, 0.5 / spec.n):
-                    log.debug("polish: collapsing cluster at gap %.2e", tight)
-                    h, v = _merge_half(h, v, 1.5 * tight)
-                else:
-                    return _continue_mass(spec, h, v, 1 + int(np.argmin(v[1:]))) or (h, v)
+                return _continue_mass(spec, h, v, 1 + int(np.argmin(v[1:]))) or (h, v)
         nh, nv, status, fn = _kkt_newton(spec, h, v)
     return h, v
 
@@ -678,9 +639,8 @@ def solve_capacity(spec: ChannelSpec, config: SolverConfig | None = None) -> Sol
     until a dense certification grid shows both KKT conditions holding to
     config.kkt_tol; escape atoms are inserted where the information density
     still exceeds the capacity estimate.  The solve state is a half support
-    on [0, 1/2] with one mass per mirror orbit; it becomes an input on
-    [0, 1] only for certification and the report.  For n = 1 the known
-    two-point solution is returned immediately.
+    (module docstring); it becomes an input on [0, 1] only for certification
+    and the report.  For n = 1 the known two-point solution is returned.
     """
     config = config or SolverConfig()
     n = spec.n
@@ -691,12 +651,10 @@ def solve_capacity(spec: ChannelSpec, config: SolverConfig | None = None) -> Sol
 
     h, v = _seed_support(spec, config)
     stall = 0
-    best = None
     for outer in range(1, config.max_outer_iters + 1):
         v2, lo, hi, _, D, _ = _ba_core(spec, h, config.ba_tol, max_iters=3000,
                                        defect_tol=config.kkt_tol / 2, orbits=True)
-        gap = hi - lo
-        drop = ((v2 < 1e-6) & (D < lo - 10 * max(gap, config.kkt_tol))) \
+        drop = ((v2 < 1e-6) & (D < lo - 10 * max(hi - lo, config.kkt_tol))) \
             | (v2 < config.prune_weight)
         drop[0] = False
         h, v = h[~drop], v2[~drop] / v2[~drop].sum()
@@ -709,19 +667,19 @@ def solve_capacity(spec: ChannelSpec, config: SolverConfig | None = None) -> Sol
                                       config.kkt_tol, config.merge_radius)
         if summary.slack <= config.kkt_tol and summary.equality_defect <= config.kkt_tol:
             return _report(spec, dist, summary, outer, converged=True)
-        stall = 0 if best is None or summary.slack < best[1].slack else stall + 1
-        if stall == 0:
-            best = (dist, summary, outer)
-        elif stall >= 5:
+        new = _escape_candidates(xs, ivals, summary.capacity_nats,
+                                 dist.points[dist.points != 0.5], config)
+        split = len(new) and h[-1] == 0.5 and new[0] > h[-2]
+        if split and 0.5 - new[0] <= config.merge_radius:
+            new = new[:0]  # the centre atom's own peak
+        stall = 0 if len(new) else stall + 1
+        if stall >= 5:
             break
-        new = _escape_candidates(xs, ivals, summary.capacity_nats, dist.points, config)
-        if len(new):
-            h = np.concatenate([h, new])
-            v = np.concatenate([v, np.full(len(new), 1e-3)])
-            order = np.argsort(h)
-            h, v = h[order], v[order] / v[order].sum()
+        if split and len(new):
+            h[-1] = new[0]  # the density dips at the centre atom: split it
+        elif len(new):
+            h, v = _merge_half(np.append(h, new), np.append(v, 1e-3), config.merge_radius)
 
-    dist, summary, outer = best
     log.warning("solve_capacity(n=%d): not certified after %d outer iterations "
                 "(slack %.2e, defect %.2e)", n, outer, summary.slack,
                 summary.equality_defect)

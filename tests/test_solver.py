@@ -15,6 +15,7 @@ from binomcap import (
     report_for_distribution,
     solve_capacity,
 )
+from binomcap import solver
 from binomcap.kernel import log_pmf_matrix
 from binomcap.solver import _ba_core, _kkt_residual, _kkt_system
 
@@ -178,7 +179,9 @@ class TestSolveCapacity:
             resid = info_density_prime(inner, report.input, ChannelSpec(n))
             assert np.max(np.abs(resid)) <= 1e-9
 
-    @pytest.mark.parametrize("n", [40, 64, 100, 110, 128, 140])
+    # 75, 93 and 137 did not certify before the half-support solve; 139 and
+    # 142 sit where a centre atom is born, between pins that certify
+    @pytest.mark.parametrize("n", [40, 64, 75, 93, 100, 110, 128, 137, 139, 140, 142])
     def test_certifies_mid_range(self, solved, n):
         report = solved(n)
         assert report.converged
@@ -248,6 +251,25 @@ class TestSolverVariants:
         report = solve_capacity(ChannelSpec(24), SolverConfig(max_outer_iters=1))
         assert not report.converged
         assert report.kkt_slack > 1e-8
+
+    def test_budget_limited_solve_reports_last_iterate(self, monkeypatch):
+        seen = []
+        certify = solver._certify
+
+        def spy(dist, *args, **kwargs):
+            out = certify(dist, *args, **kwargs)
+            seen.append((dist, out[0]))
+            return out
+
+        monkeypatch.setattr(solver, "_certify", spy)
+        report = solve_capacity(ChannelSpec(95), SolverConfig(max_outer_iters=2))
+        assert not report.converged
+        assert report.iterations == len(seen) == 2
+        dist, summary = seen[-1]
+        assert np.array_equal(report.input.points, dist.points)
+        assert np.array_equal(report.input.weights, dist.weights)
+        assert report.kkt_slack == summary.slack
+        assert report.equality_defect == summary.equality_defect
 
     def test_small_grid(self):
         report = solve_capacity(ChannelSpec(4), SolverConfig(grid_size=257))
