@@ -88,8 +88,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dist", required=True,
                    help='JSON file with {"points": [...], "weights": [...]} '
                         '(a solve report with "support" also works)')
-    p.add_argument("--grid-size", type=int, default=20490,
-                   help="certification grid size (default 20490)")
+    p.add_argument("--grid-size", type=int, default=solver.CERT_GRID_SIZE,
+                   help=f"certification grid size (default {solver.CERT_GRID_SIZE})")
     p.add_argument("--kkt-tol", type=float, default=1e-8)
     _add_output_flags(p)
 

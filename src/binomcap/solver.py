@@ -9,13 +9,14 @@ interior pairs and a centre atom.  The solve works in three layers:
 
 1. a coarse Blahut-Arimoto pass on the orbits of a uniform grid seeds one
    atom per local maximum of the weight profile;
-2. a damped Newton iteration on the optimality conditions polishes masses
-   and positions; negative masses mark orbits to drop, and where Newton
-   stalls a direct ascent of the mutual information, then continuation in
-   the lightest orbit's mass, sort out which atoms survive;
+2. a damped semismooth Newton iteration on the optimality conditions
+   polishes masses and positions; the last orbit sits at 1/2 - sqrt(s), so
+   one regular unknown covers a centre atom (s = 0) and a pair, and Newton
+   splits or merges the centre by itself; negative masses mark orbits to
+   drop, and where Newton stalls a direct ascent of I brings it in range;
 3. the half support becomes an input on [0, 1], whose density a fine grid
    sweep certifies; where the density still exceeds the capacity an atom is
-   added, or a centre atom moves there and becomes a pair.
+   added.
 """
 
 from __future__ import annotations
@@ -41,6 +42,8 @@ log = logging.getLogger(__name__)
 
 _TINY_Q = 1e-300
 _DEAD_WEIGHT = 1e-40
+# default grid of kkt_verify, report_for_distribution and `binomcap verify`
+CERT_GRID_SIZE = 20_490
 
 
 @dataclass(frozen=True)
@@ -219,25 +222,21 @@ def blahut_arimoto(spec: ChannelSpec, grid, tol: float,
 # half supports: atoms 0 = h_0 < ... <= 1/2, one mass per orbit {h, 1 - h}
 # ---------------------------------------------------------------------------
 
-def _merge_sorted(pts: np.ndarray, ws: np.ndarray, radius: float):
-    """Greedy left-to-right merge of sorted atoms closer than radius."""
-    out_p, out_w = [pts[0]], [ws[0]]
-    for p, w in zip(pts[1:], ws[1:]):
-        if p - out_p[-1] <= radius:
-            tw = out_w[-1] + w
-            out_p[-1] = (out_p[-1] * out_w[-1] + p * w) / tw
-            out_w[-1] = tw
-        else:
-            out_p.append(p)
-            out_w.append(w)
-    return np.asarray(out_p), np.asarray(out_w)
-
-
 def _merge_half(h: np.ndarray, v: np.ndarray, radius: float):
-    """Sorted merge of half-support atoms closer than radius: the first atom
-    stays on 0, others within radius of 1/2 snap onto it; renormalized."""
+    """Greedy left-to-right merge of the sorted half-support atoms closer
+    than radius: the first atom stays on 0, others within radius of 1/2 snap
+    onto it; renormalized."""
     order = np.argsort(h, kind="stable")
-    h, v = _merge_sorted(h[order], v[order], radius)
+    out_h, out_v = [h[order[0]]], [v[order[0]]]
+    for p, w in zip(h[order[1:]], v[order[1:]]):
+        if p - out_h[-1] <= radius:
+            tw = out_v[-1] + w
+            out_h[-1] = (out_h[-1] * out_v[-1] + p * w) / tw
+            out_v[-1] = tw
+        else:
+            out_h.append(p)
+            out_v.append(w)
+    h, v = np.asarray(out_h), np.asarray(out_v)
     h[0] = 0.0
     h[1:][0.5 - h[1:] <= radius] = 0.5
     return h, v / v.sum()
@@ -276,147 +275,202 @@ def _seed_support(spec: ChannelSpec, config: SolverConfig):
 # joint optimality-system Newton on the half support (internal)
 # ---------------------------------------------------------------------------
 
-def _kkt_residual(spec: ChannelSpec, h: np.ndarray, v: np.ndarray, C: float,
-                  interior: np.ndarray):
-    """Residual of the stationarity system in (v, h_int, C).
+def _centre_terms(spec: ChannelSpec, P: np.ndarray, d: np.ndarray):
+    """(dR/ds, g', g'') of the centre orbit at s = 0, from P = P(.|1/2) and
+    d = log P - log q: R_s = P''/2, g' = i''/2 and g'' = i''''/12.
 
-    Rows: i(h_k) - C for every orbit, the density derivative at the atoms
-    `interior`, and the mass normalization.  Returns (F, i(h_k), terms),
-    where terms = (interior, P, R, q, P', i', i'') feed the Jacobian, or
+    At x = 1/2, t = d log P/dx = 4y - 2n, t' = -4n, t'' = 8t, t''' = -96n.
+    """
+    n = spec.n
+    t = 4.0 * np.arange(n + 1) - 2.0 * n
+    Pt = P * t
+    Ppp = P * (t * t - 4.0 * n)
+    P3 = P * (t ** 3 + (8.0 - 12.0 * n) * t)
+    P4 = P * (t ** 4 + (32.0 - 24.0 * n) * t * t + 48.0 * n * n - 96.0 * n)
+    # i'''' = sum P'''' d + 3 sum P''' t + 3 t' sum P'' + sum P' t'', sum P'' = 0
+    i4 = P4 @ d + 3.0 * (P3 @ t) + 8.0 * (Pt @ t)
+    return 0.5 * Ppp, 0.5 * (Ppp @ d + Pt @ t), i4 / 12.0
+
+
+def _kkt_residual(spec: ChannelSpec, h: np.ndarray, v: np.ndarray, C: float,
+                  s_row: bool | None = None):
+    """Residual of the stationarity system in (v, h_int, s, C).
+
+    The last orbit is the centre orbit, at h_c = 1/2 - sqrt(s): a centre atom
+    at s = 0, a pair for s > 0; h_int are the atoms strictly between it and
+    0.  Rows: i(h_k) - C for every orbit, i'(h_k) at h_int, the centre row
+    min(n^2 s, -g'(s)) of the complementarity s >= 0, g'(s) <= 0,
+    s g'(s) = 0 for g(s) = i(1/2 + sqrt(s)), and the mass normalization.
+    `s_row` fixes the branch of the centre row (None: the smaller one).
+    Returns (F, i(h_k), terms), where terms feed the Jacobian, or
     (None, None, None) when some output is starved of probability.
     """
+    K = len(h)
     logP = log_pmf_matrix(spec, h)
     P = np.exp(logP)
     R = _mirror_mix(P)
     q = v @ R
     if np.any(q <= 0.0):
         return None, None, None
-    ival, Pp, ip, ipp = _info_terms(spec, h, logP, P, np.log(q), interior)
-    F = np.concatenate([ival - C, ip, [v.sum() - 1.0]])
-    return F, ival, (interior, P, R, q, Pp, ip, ipp)
+    logq = np.log(q)
+    ival, Pp, ip, ipp = _info_terms(spec, h, logP, P, logq, np.arange(1, K))
+    d = 0.5 - h[-1]
+    if d > 0.0:
+        # R and g are even in d = sqrt(s): d/ds = (d/dd) / (2d)
+        Rs = -_mirror_mix(Pp[-1:])[0] / (2.0 * d)
+        gp = -ip[-1] / (2.0 * d)
+        gpp = (ipp[-1] - 2.0 * gp) / (4.0 * d * d)
+    else:
+        Rs, gp, gpp = _centre_terms(spec, P[-1], logP[-1] - logq)
+    ns = spec.n ** 2 * d * d
+    if s_row is None:
+        s_row = ns <= -gp
+    F = np.concatenate([ival - C, ip[:-1], [ns if s_row else -gp, v.sum() - 1.0]])
+    return F, ival, (P, R, q, Pp[:-1], ip[:-1], ipp[:-1], Rs, gp, gpp, s_row)
 
 
 def _kkt_system(spec: ChannelSpec, h: np.ndarray, v: np.ndarray, terms) -> np.ndarray:
-    """Jacobian of the stationarity system in (v, h_int, C).
+    """Jacobian of the stationarity system in (v, h_int, s, C).
 
     `terms` are the ones `_kkt_residual` returned at (h, v).  Masses enter
     linearly so the Newton solution signals superfluous orbits by negative
-    masses.  An interior atom moves q through its orbit's row, R' = dR/dh.
+    masses.  An atom of h_int moves q through its orbit's row, R' = dR/dh,
+    and s through the centre orbit's, R_s = dR/ds.
     """
-    interior, P, R, q, Pp, ip, ipp = terms
-    K, m = len(h), len(interior)
+    P, R, q, Pp, ip, ipp, Rs, gp, gpp, s_row = terms
+    K = len(h)
+    m = K - 2
     Rq = R / q
     Rpq = _mirror_mix(Pp) / q
+    Rsq = Rs / q
+    vi, vc = v[1:-1], v[-1]
     diag = K + np.arange(m)
-    J = np.zeros((K + m + 1, K + m + 1))
+    J = np.zeros((2 * K, 2 * K))
     J[:K, :K] = -(P @ Rq.T)
-    J[:K, K:K + m] = -(P @ Rpq.T) * v[interior]
-    J[interior, diag] += ip
-    J[:K, K + m] = -1.0
+    J[:K, K:K + m] = -(P @ Rpq.T) * vi
+    J[1 + np.arange(m), diag] += ip
+    J[:K, K + m] = -(P @ Rsq) * vc
+    J[K - 1, K + m] += gp
+    J[:K, K + m + 1] = -1.0
     J[K:K + m, :K] = -(Pp @ Rq.T)
-    J[K:K + m, K:K + m] = -(Pp @ Rpq.T) * v[interior]
+    J[K:K + m, K:K + m] = -(Pp @ Rpq.T) * vi
     J[diag, diag] += ipp
-    J[K + m, :K] = 1.0
+    J[K:K + m, K + m] = -(Pp @ Rsq) * vc
+    if s_row:
+        J[K + m, K + m] = spec.n ** 2
+    else:
+        J[K + m, :K] = Rq @ Rs
+        J[K + m, K:K + m] = (Rpq @ Rs) * vi
+        J[K + m, K + m] = vc * (Rs @ Rsq) - gpp
+    J[K + m + 1, :K] = 1.0
     return J
 
 
-def _kkt_newton(spec: ChannelSpec, h: np.ndarray, v: np.ndarray,
-                max_iter: int = 60, tol: float = 1e-13, fixed: int | None = None):
-    """Damped Newton on the stationarity system.
+def _information(v: np.ndarray, ival: np.ndarray) -> float:
+    """I(X; Y) of v / sum(v) from i(h_k) against q = v @ R; -inf unless v > 0."""
+    if not np.all(v > 0.0):
+        return -np.inf
+    total = float(v.sum())
+    return float(v @ ival) / total + math.log(total)
+
+
+def _kkt_newton(spec: ChannelSpec, h0: np.ndarray, v0: np.ndarray,
+                max_iter: int = 60, tol: float = 1e-13):
+    """Damped semismooth Newton on the stationarity system.
 
     Returns (h, v, status, residual): 'ok' (solved, all masses positive),
-    'neg' (solved, some mass nonpositive: drop that orbit) or 'stall' (the
-    residual stopped halving every ten steps above 1e-10).  The atoms in
-    (0, 1/2) at the start move, each between the midpoints to its neighbours
-    (the last one's is 1/2); until solved, regularized steps back up damped
-    ones.  With `fixed` = j, v_j stays as given and its row i(h_j) = C goes.
+    'neg' (solved, some mass nonpositive: drop that orbit) or 'stall'.  The
+    atoms of h_int stay between the midpoints to their neighbours, the
+    centre orbit between that midpoint and 1/2.  A run keeps the centre
+    row's branch that its start selects and takes a damped step if it lowers
+    the largest residual or raises I; it stops below tol or once the
+    residual has not halved in ten steps.  If it leaves the system unsolved
+    (above 1e-10), a second run from the start takes the other branch.
     """
-    h, v = h.copy(), v.copy()
-    interior = np.flatnonzero((h > 0.0) & (h < 0.5))
-    K, m = len(h), len(interior)
-    keep = np.arange(K + m + 1) != fixed
-    F, ival, terms = _kkt_residual(spec, h, v, 0.0, interior)
+    K = len(h0)
+    if K < 2:
+        return h0.copy(), v0.copy(), "ok", 0.0
+    F, ival, terms = _kkt_residual(spec, h0, v0, 0.0)
     if F is None:
-        return h, v, "stall", np.inf
-    C = float(v @ ival)
-    F[:K] = ival - C
-    seen = []
-    for _ in range(max_iter):
-        seen.append(fn := float(np.abs(F[keep]).max()))
-        if fn <= tol or len(seen) > 10 and fn > 0.5 * seen[-11]:
-            break
-        J = _kkt_system(spec, h, v, terms)[np.ix_(keep, keep)]
-        try:
-            step = np.linalg.solve(J, -F[keep])
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(J, -F[keep], rcond=None)[0]
-
-        def try_step(reduced):
-            step = np.zeros(K + m + 1)
-            step[keep] = reduced
-            mid = np.append(0.5 * (h[:-1] + h[1:]), 0.5)
-            lo_b, hi_b = mid[interior - 1], mid[interior]
+        return h0.copy(), v0.copy(), "stall", np.inf
+    best = None
+    for s_row in (terms[-1], not terms[-1]):
+        h, v, C, s = h0, v0, float(v0 @ ival), (0.5 - h0[-1]) ** 2
+        F, ival, terms = _kkt_residual(spec, h, v, C, s_row)
+        info = _information(v, ival)
+        seen = []
+        for _ in range(max_iter):
+            seen.append(fn := float(np.abs(F).max()))
+            if fn <= tol or len(seen) > 10 and fn > 0.5 * seen[-11]:
+                break
+            J = _kkt_system(spec, h, v, terms)
+            try:
+                step = np.linalg.solve(J, -F)
+            except np.linalg.LinAlgError:
+                step = np.linalg.lstsq(J, -F, rcond=None)[0]
+            mid = 0.5 * (h[:-1] + h[1:])
             for damp in (1.0, 0.5, 0.25, 0.1, 0.03, 0.01, 0.003):
                 nv = v + damp * step[:K]
                 nh = h.copy()
-                nh[interior] = np.clip(h[interior] + damp * step[K:K + m], lo_b, hi_b)
-                nC = C + damp * step[K + m]
-                F2, _, terms2 = _kkt_residual(spec, nh, nv, nC, interior)
-                if F2 is not None and np.abs(F2[keep]).max() < fn:
-                    return nh, nv, nC, F2, terms2
-            return None
-
-        moved = try_step(step)
-        if moved is None and fn > 1e-10:
-            # regularized retry for ill-conditioned transition regimes
-            JtJ = J.T @ J
-            JtF = J.T @ F[keep]
-            scale = float(np.trace(JtJ)) / JtJ.shape[0]
-            for lam in (1e-10, 1e-6, 1e-3, 1e-1):
-                try:
-                    step = np.linalg.solve(JtJ + lam * scale * np.eye(len(JtF)), -JtF)
-                except np.linalg.LinAlgError:
+                nh[1:-1] = np.clip(h[1:-1] + damp * step[K:2 * K - 2], mid[:-1], mid[1:])
+                ns = min(max(s + damp * step[-2], 0.0), (0.5 - mid[-1]) ** 2)
+                nh[-1] = 0.5 - math.sqrt(ns)
+                nC = C + damp * step[-1]
+                F2, ival2, terms2 = _kkt_residual(spec, nh, nv, nC, s_row)
+                if F2 is None:
                     continue
-                moved = try_step(step)
-                if moved is not None:
+                info2 = _information(nv, ival2)
+                if np.abs(F2).max() < fn or info2 > info:
                     break
-        if moved is None:
+            else:
+                break
+            h, v, s, C, F, terms, info = nh, nv, ns, nC, F2, terms2, info2
+        fn = float(np.abs(_kkt_residual(spec, h, v, C)[0]).max())
+        if best is None or fn < best[2]:
+            best = h, v, fn
+        if fn <= 1e-10:
             break
-        h, v, C, F, terms = moved
+    h, v, fn = best
     status = "stall" if fn > 1e-10 else "ok" if np.all(v > 0) else "neg"
     return h, v, status, fn
 
 
 def _ascend_information(spec: ChannelSpec, h: np.ndarray, v: np.ndarray):
-    """Directly maximize I over orbit positions and masses (L-BFGS).
+    """Directly maximize I over orbit positions and masses (L-BFGS-B).
 
     Monotone where the Newton system is singular, near support-splitting
-    transitions.  Atoms in (0, 1/2) move as h = sigmoid(z), z <= 0.
+    transitions.  Masses enter as v >= 0, normalized, so a light orbit's
+    gradient i(h) - I does not vanish with its mass; the atoms of h_int move
+    as h = sigmoid(z), z <= 0, and the centre orbit by n s >= 0.
     """
-    K = len(h)
-    interior = np.flatnonzero((h > 0.0) & (h < 0.5))
+    K, n = len(h), spec.n
 
     def unpack(z):
         x = h.copy()
-        x[interior] = 1.0 / (1.0 + np.exp(-z[K:]))
-        w = np.exp(z[:K] - z[:K].max())
-        return w / w.sum(), x
+        x[1:-1] = 1.0 / (1.0 + np.exp(-z[K:-1]))
+        x[-1] = 0.5 - math.sqrt(z[-1] / n)
+        return z[:K] / z[:K].sum(), x
 
     def neg_info(z):
         w, x = unpack(z)
         logP = log_pmf_matrix(spec, x)
         P = np.exp(logP)
         logq = np.log(np.maximum(w @ _mirror_mix(P), _TINY_Q))
-        ival, _, ip = _info_terms(spec, x, logP, P, logq, interior, second=False)
+        ival, _, ip = _info_terms(spec, x, logP, P, logq, np.arange(1, K), second=False)
+        d = 0.5 - x[-1]
+        gp = -ip[-1] / (2.0 * d) if d > 0.0 else \
+            _centre_terms(spec, P[-1], logP[-1] - logq)[1]
         I = float(w @ ival)
-        xi = x[interior]
-        return -I, -np.concatenate([w * (ival - I), w[interior] * ip * xi * (1.0 - xi)])
+        xi = x[1:-1]
+        return -I, -np.concatenate([(ival - I) / z[:K].sum(),
+                                    w[1:-1] * ip[:-1] * xi * (1.0 - xi), [w[-1] * gp / n]])
 
-    hi = h[interior]
-    z0 = np.concatenate([np.log(np.maximum(v, 1e-300)), np.log(hi / (1.0 - hi))])
+    hi = h[1:-1]
+    z0 = np.concatenate([v, np.log(hi / (1.0 - hi)), [n * (0.5 - h[-1]) ** 2]])
     res = minimize(neg_info, z0, jac=True, method="L-BFGS-B",
-                   bounds=[(None, None)] * K + [(None, 0.0)] * len(hi),
-                   options=dict(maxiter=20000, maxfun=40000, ftol=1e-18, gtol=1e-14))
+                   bounds=[(0.0, None)] * K + [(None, 0.0)] * len(hi) + [(0.0, None)],
+                   options=dict(maxiter=20000, maxfun=40000, ftol=1e-18, gtol=1e-14,
+                                maxcor=100))
     w, x = unpack(res.x)
     order = np.argsort(x)
     return x[order], w[order]
@@ -430,60 +484,11 @@ def _clean_structure(h, v, config: SolverConfig, drop_w: float):
     return nh, nv, not np.array_equal(nh, h)
 
 
-def _continue_mass(spec: ChannelSpec, h: np.ndarray, v: np.ndarray, j: int):
-    """Continuation in orbit j's mass through a valley of the system.
-
-    Near a support-splitting transition the residual stays near 1e-6 along
-    masses and positions that neither Newton nor the ascent travels.  With
-    v_j fixed and its row i(h_j) = C left out the system is regular, so v_j
-    is stepped (by a shorter factor after a failed step) until g = i(h_j) - C
-    changes sign, and secant steps find the root of g.  If g stays negative
-    as v_j falls, orbit j is dropped.  Returns a half support or None.
-    """
-    def solve(t, h, v):
-        h, v, status, _ = _kkt_newton(spec, h, np.where(np.arange(len(v)) == j, t, v),
-                                      max_iter=20, fixed=j)
-        if status != "ok":
-            return None
-        ival = _kkt_residual(spec, h, v, 0.0, np.arange(0))[1]
-        return t, h, v, float(ival[j] - ival[0])
-
-    lo = solve(v[j], h, v)
-    if lo is None:
-        return None
-    factor = 1.5 if lo[3] > 0 else 0.5
-    for _ in range(12):
-        hi = solve(lo[0] * factor, *lo[1:3]) or lo
-        if hi is lo:
-            factor = math.sqrt(factor)
-        elif (hi[3] > 0) != (lo[3] > 0):
-            break
-        lo = hi
-    if hi is lo:
-        if lo[3] > 0:
-            return None
-        # i(h_j) stays below C as v_j falls: orbit j does not belong
-        h, v = np.delete(lo[1], j), np.delete(lo[2], j)
-        nh, nv, status, _ = _kkt_newton(spec, h, v)
-        return (nh, nv / nv.sum()) if status == "ok" else (h, v / v.sum())
-    for _ in range(8):
-        near = min(lo, hi, key=lambda e: abs(e[3]))
-        if abs(near[3]) <= 1e-13:
-            break
-        mid = solve((hi[0] * lo[3] - lo[0] * hi[3]) / (lo[3] - hi[3]), *near[1:3])
-        if mid is None:
-            return None
-        lo, hi = (mid, hi) if (mid[3] > 0) == (lo[3] > 0) else (lo, mid)
-    nh, nv, status, _ = _kkt_newton(spec, near[1], near[2])
-    return (nh, nv / nv.sum()) if status == "ok" else None
-
-
 def _polish(spec: ChannelSpec, h: np.ndarray, v: np.ndarray, config: SolverConfig):
-    """Fixed-structure solve: Newton fast path, ascent fallback, orbit drops.
-
-    A Newton stall that survives the ascent marks a valley of the system
-    near a support-splitting transition, which continuation in the lightest
-    orbit's mass travels.
+    """Fixed-structure solve: Newton, the ascent where it stalls, Newton
+    again; an orbit whose Newton mass goes negative is dropped.  Newton
+    splits or merges the centre by itself (the centre orbit's s), so the
+    ascent only has to bring a stalled start within its reach.
     """
     nh, nv, status, fn = _kkt_newton(spec, h, v)
     for _ in range(12):
@@ -502,9 +507,7 @@ def _polish(spec: ChannelSpec, h: np.ndarray, v: np.ndarray, config: SolverConfi
             h, v, changed = _clean_structure(h, v, config, drop_w=1e-7)
             if not changed:
                 nh, nv, status, fn = _kkt_newton(spec, h, v)
-                if status == "ok":
-                    return nh, nv / nv.sum()
-                return _continue_mass(spec, h, v, 1 + int(np.argmin(v[1:]))) or (h, v)
+                return (nh, nv / nv.sum()) if status == "ok" else (h, v)
         nh, nv, status, fn = _kkt_newton(spec, h, v)
     return h, v
 
@@ -585,7 +588,7 @@ def _certify(dist: DiscreteInput, spec: ChannelSpec, grid_points: int,
 
 
 def kkt_verify(report: SolveReport, spec: ChannelSpec,
-               grid_size: int = 20_490, tol: float = 1e-8) -> KktSummary:
+               grid_size: int = CERT_GRID_SIZE, tol: float = 1e-8) -> KktSummary:
     """Re-certify a solve report (or any user distribution wrapped in one).
 
     Recomputes the information density on a fresh grid of `grid_size` points
@@ -597,7 +600,7 @@ def kkt_verify(report: SolveReport, spec: ChannelSpec,
 
 
 def report_for_distribution(dist: DiscreteInput, spec: ChannelSpec,
-                            grid_size: int = 20_490, tol: float = 1e-8,
+                            grid_size: int = CERT_GRID_SIZE, tol: float = 1e-8,
                             iterations: int = 0, converged: bool | None = None) -> SolveReport:
     """Build a SolveReport around an externally supplied distribution."""
     summary, _, _ = _certify(dist, spec, grid_size, tol)
@@ -667,17 +670,11 @@ def solve_capacity(spec: ChannelSpec, config: SolverConfig | None = None) -> Sol
                                       config.kkt_tol, config.merge_radius)
         if summary.slack <= config.kkt_tol and summary.equality_defect <= config.kkt_tol:
             return _report(spec, dist, summary, outer, converged=True)
-        new = _escape_candidates(xs, ivals, summary.capacity_nats,
-                                 dist.points[dist.points != 0.5], config)
-        split = len(new) and h[-1] == 0.5 and new[0] > h[-2]
-        if split and 0.5 - new[0] <= config.merge_radius:
-            new = new[:0]  # the centre atom's own peak
+        new = _escape_candidates(xs, ivals, summary.capacity_nats, dist.points, config)
         stall = 0 if len(new) else stall + 1
         if stall >= 5:
             break
-        if split and len(new):
-            h[-1] = new[0]  # the density dips at the centre atom: split it
-        elif len(new):
+        if len(new):
             h, v = _merge_half(np.append(h, new), np.append(v, 1e-3), config.merge_radius)
 
     log.warning("solve_capacity(n=%d): not certified after %d outer iterations "

@@ -42,7 +42,8 @@ class TestSolveCommand:
         assert "error" in err
 
     def test_nonconvergence_exit_code(self, capsys):
-        code, out, _ = run_cli(capsys, "solve", "--n", "24", "--max-outer-iters", "1")
+        # n = 64 takes two outer iterations to certify (n = 24 now takes one)
+        code, out, _ = run_cli(capsys, "solve", "--n", "64", "--max-outer-iters", "1")
         assert code == 3
         payload = json.loads(out)  # report still emitted
         assert payload["converged"] is False

@@ -10,6 +10,7 @@ from binomcap import (
     blahut_arimoto,
     exact_solution,
     info_density_prime,
+    info_density_second,
     kkt_verify,
     mutual_information,
     report_for_distribution,
@@ -180,8 +181,10 @@ class TestSolveCapacity:
             assert np.max(np.abs(resid)) <= 1e-9
 
     # 75, 93 and 137 did not certify before the half-support solve; 139 and
-    # 142 sit where a centre atom is born, between pins that certify
-    @pytest.mark.parametrize("n", [40, 64, 75, 93, 100, 110, 128, 137, 139, 140, 142])
+    # 142 sit where a centre atom is born, between pins that certify; 94,
+    # 114, 122, 133 and 136 need the centre orbit to split or merge
+    @pytest.mark.parametrize("n", [40, 64, 75, 93, 94, 100, 110, 114, 122, 128, 133, 136,
+                                   137, 139, 140, 142])
     def test_certifies_mid_range(self, solved, n):
         report = solved(n)
         assert report.converged
@@ -206,34 +209,71 @@ class TestSolveCapacity:
 
 
 class TestHalfSupport:
-    @pytest.mark.parametrize("n,centre", [(24, True), (128, False)])
+    # centre: True appends a centre atom of mass 0.05, a number s a centre
+    # pair of that mass at 1/2 -+ sqrt(s); False keeps the solved last pair
+    @pytest.mark.parametrize("n,centre", [(24, True), (128, False), (24, 1e-3), (24, 1e-6)])
     def test_jacobian_matches_central_differences(self, solved, n, centre):
         spec = ChannelSpec(n)
         h, v = _half(solved(n))
-        if centre:
-            h, v = np.append(h, 0.5), np.append(v, 0.05)
-        assert (h[-1] == 0.5) == centre
+        if centre is not False:
+            s = 0.0 if centre is True else centre
+            h, v = np.append(h, 0.5 - math.sqrt(s)), np.append(v, 0.05)
         rng = np.random.default_rng(n)
-        interior = np.flatnonzero((h > 0) & (h < 0.5))
-        h[interior] += 2e-3 * rng.uniform(-1.0, 1.0, len(interior))
-        v = v * rng.uniform(0.8, 1.2, len(v))
+        K = len(h)
+        m = K - 2
+        h[1:-1] += 2e-3 * rng.uniform(-1.0, 1.0, m)
+        v = v * rng.uniform(0.8, 1.2, K)
         v /= v.sum()
-        K, m = len(h), len(interior)
+        s = (0.5 - h[-1]) ** 2
 
         def resid(z):
             x = h.copy()
-            x[interior] = z[K:K + m]
-            return _kkt_residual(spec, x, z[:K], z[-1], interior)[0]
+            x[1:-1] = z[K:K + m]
+            x[-1] = 0.5 - math.sqrt(z[K + m])
+            # the g' branch of the centre row: its s row has content
+            return _kkt_residual(spec, x, z[:K], z[-1], s_row=False)[0]
 
-        z = np.concatenate([v, h[interior], [1.5]])
-        J = _kkt_system(spec, h, v, _kkt_residual(spec, h, v, z[-1], interior)[2])
-        num = np.empty_like(J)
-        for j in range(len(z)):
+        z = np.concatenate([v, h[1:-1], [s, 1.5]])
+        J = _kkt_system(spec, h, v, _kkt_residual(spec, h, v, z[-1], s_row=False)[2])
+        assert J.shape == (2 * K, 2 * K)
+        # s = 0 has no two-sided difference; the limit test below covers it
+        cols = [j for j in range(len(z)) if j != K + m or s > 0.0]
+        num = np.zeros_like(J)
+        for j in cols:
             e = np.zeros(len(z))
-            e[j] = 1e-7 if K <= j < K + m else 1e-6
+            e[j] = 1e-7 if K <= j < K + m else min(1e-6, 0.3 * s) if j == K + m else 1e-6
             num[:, j] = (resid(z + e) - resid(z - e)) / (2 * e[j])
-        assert J.shape == (K + m + 1, K + m + 1)
-        assert np.max(np.abs(num - J)) <= 1e-6 * np.max(np.abs(J))
+        assert np.max(np.abs(num - J)[:, cols]) <= 1e-6 * np.max(np.abs(J))
+
+    def test_centre_row_limit_is_half_the_curvature(self, solved):
+        # g'(s) = -i'(1/2 - sqrt(s)) / (2 sqrt(s)) tends to i''(1/2)/2; the
+        # moment-ratio i'' of density.py is an independent evaluation of it
+        spec = ChannelSpec(24)
+        h, v = _half(solved(24))
+        h, v = np.append(h, 0.5), np.append(v, 0.05)
+        v /= v.sum()
+        half_curv = 0.5 * info_density_second(0.5, solver._full_input(h, v), spec)
+        for s in (0.0, 1e-12):
+            h[-1] = 0.5 - math.sqrt(s)
+            F, _, _ = _kkt_residual(spec, h, v, 0.0, s_row=False)
+            assert abs(-F[-2] / half_curv - 1.0) <= 1e-8
+
+    def test_polish_splits_a_centre_atom_by_newton(self, solved, monkeypatch):
+        # the solved n = 24 half support ends in a pair near 0.469; started
+        # from a centre atom of the same mass, Newton alone must split it
+        spec = ChannelSpec(24)
+        h, v = _half(solved(24))
+        assert 0.46 < h[-1] < 0.5
+        start = h.copy()
+        start[-1] = 0.5
+
+        def no_ascent(*args):
+            raise AssertionError("the ascent must not be needed")
+
+        monkeypatch.setattr(solver, "_ascend_information", no_ascent)
+        nh, nv = solver._polish(spec, start, v, SolverConfig())
+        assert len(nh) == len(h)
+        assert np.max(np.abs(nh - h)) <= 1e-9
 
     @pytest.mark.parametrize("n", [10, 24, 128])
     def test_orbit_ba_matches_full_grid(self, n):
@@ -248,7 +288,8 @@ class TestHalfSupport:
 
 class TestSolverVariants:
     def test_small_budget_reports_honestly(self):
-        report = solve_capacity(ChannelSpec(24), SolverConfig(max_outer_iters=1))
+        # n = 64 takes two outer iterations to certify (n = 24 now takes one)
+        report = solve_capacity(ChannelSpec(64), SolverConfig(max_outer_iters=1))
         assert not report.converged
         assert report.kkt_slack > 1e-8
 
