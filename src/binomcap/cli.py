@@ -41,7 +41,7 @@ def _solver_config(args) -> SolverConfig:
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--grid-size", type=int, default=2049,
-                   help="initial Blahut-Arimoto grid (odd, default 2049)")
+                   help="certification sweep of 10x this many points (odd, default 2049)")
     p.add_argument("--ba-tol", type=float, default=1e-10,
                    help="Blahut-Arimoto duality-gap stop (default 1e-10)")
     p.add_argument("--kkt-tol", type=float, default=1e-8,

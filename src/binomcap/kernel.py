@@ -1,10 +1,10 @@
 """Numerically stable binomial channel kernel and binomial entropy bounds.
 
-All probability arithmetic goes through log-gamma in the log domain so that
-trial counts up to a few thousand do not underflow.  The log-pmf matrix
-takes log x and log(1-x) once per row, not once per cell.  The 0 log 0 = 0
-convention is applied throughout, so endpoint inputs x = 0 and x = 1 give
-finite values instead of NaN.
+All probability arithmetic is done in the log domain, from exact
+log-binomial coefficients, so that trial counts up to a few thousand do not
+underflow.  The log-pmf matrix takes log x and log(1-x) once per row, not
+once per cell.  The 0 log 0 = 0 convention is applied throughout, so
+endpoint inputs x = 0 and x = 1 give finite values instead of NaN.
 
 Everything here is a pure function of its arguments; concurrent use is safe.
 """
@@ -12,11 +12,13 @@ Everything here is a pure function of its arguments; concurrent use is safe.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
-from scipy.special import gammaln, xlog1py, xlogy
+from scipy.special import xlog1py, xlogy
 
 MAX_TRIALS = 4096
 
@@ -48,9 +50,11 @@ def _check_x(x) -> float:
 
 @lru_cache(maxsize=64)
 def log_binom_coeffs(n: int) -> np.ndarray:
-    """log C(n, y) for y = 0..n, cached per n; the array is read-only."""
-    y = np.arange(n + 1)
-    out = gammaln(n + 1) - gammaln(y + 1) - gammaln(n - y + 1)
+    """log C(n, y) for y = 0..n, cached per n; the array is read-only.  Exact
+    C(n, y) in Python integers make each entry math.log(math.comb(n, y))."""
+    n = operator.index(n)
+    exact = accumulate(range(n), lambda c, y: c * (n - y) // (y + 1), initial=1)
+    out = np.array([math.log(c) for c in exact])
     out.setflags(write=False)
     return out
 

@@ -201,6 +201,16 @@ class TestSolveCapacity:
         assert all(pts[K - 1 - k] == 1.0 - pts[k] for k in range((K + 1) // 2))
         assert report.flags["symmetry_defect"] == 0.0
 
+    # the support sizes of the certified optima; a seed or polish that leaves
+    # extra atoms behind still certifies but shows here (at n = 122 and 143 a
+    # Newton run that stalled from the ascent's answer left two)
+    @pytest.mark.parametrize("n,size", [(24, 8), (64, 13), (80, 15), (122, 20), (128, 20),
+                                        (143, 22), (150, 22)])
+    def test_certified_support_sizes(self, solved, n, size):
+        report = solved(n)
+        assert report.converged
+        assert report.support_size == size
+
     def test_json_payload_schema(self, solved):
         payload = solved(2).to_dict()
         assert list(payload.keys()) == ["n", "capacity_nats", "kkt_slack", "support",
@@ -275,6 +285,27 @@ class TestHalfSupport:
         assert len(nh) == len(h)
         assert np.max(np.abs(nh - h)) <= 1e-9
 
+    def test_polish_ascends_once_when_newton_stalls(self, monkeypatch):
+        # the ascent's last atom lands within merge_radius of 1/2 and snaps
+        # onto it; that is no change of structure, so a second ascent from
+        # the same start would only repeat the first
+        config = SolverConfig()
+        ascents = []
+
+        def stalled_newton(spec, h, v):
+            return h.copy(), v.copy(), "stall", 1.6e-4
+
+        def ascent(spec, h, v):
+            ascents.append(len(h))
+            return np.array([0.0, 0.2, 0.5 - 0.5 * config.merge_radius]), np.full(3, 1 / 3)
+
+        monkeypatch.setattr(solver, "_kkt_newton", stalled_newton)
+        monkeypatch.setattr(solver, "_ascend_information", ascent)
+        h, v = solver._polish(ChannelSpec(24), np.array([0.0, 0.2, 0.45]),
+                              np.full(3, 1 / 3), config)
+        assert ascents == [3]
+        assert h[-1] == 0.5
+
     @pytest.mark.parametrize("n", [10, 24, 128])
     def test_orbit_ba_matches_full_grid(self, n):
         spec = ChannelSpec(n)
@@ -284,6 +315,24 @@ class TestHalfSupport:
         summed = full.weights[:1025] + np.append(full.weights[2048:1024:-1], 0.0)
         assert np.max(np.abs(v - summed)) <= 1e-13
         assert abs(lo - full.capacity_low) <= 1e-14
+
+
+class TestSeedSupport:
+    def test_runs_no_blahut_arimoto(self, monkeypatch):
+        def no_ba(*args, **kwargs):
+            raise AssertionError("the seed must not run Blahut-Arimoto")
+
+        monkeypatch.setattr(solver, "_ba_core", no_ba)
+        solver._seed_support(ChannelSpec(128), SolverConfig())
+
+    @pytest.mark.parametrize("n", [2, 3, 24, 256, 4096])
+    def test_is_a_half_support(self, n):
+        h, v = solver._seed_support(ChannelSpec(n), SolverConfig())
+        assert h[0] == 0.0
+        assert np.all(np.diff(h) > 0.0)
+        assert h[-1] <= 0.5
+        assert np.all(v > 0.0)
+        assert abs(v.sum() - 1.0) <= 1e-12
 
 
 class TestSolverVariants:
@@ -303,7 +352,8 @@ class TestSolverVariants:
             return out
 
         monkeypatch.setattr(solver, "_certify", spy)
-        report = solve_capacity(ChannelSpec(95), SolverConfig(max_outer_iters=2))
+        # n = 256 takes nine outer iterations (n = 95 now takes two)
+        report = solve_capacity(ChannelSpec(256), SolverConfig(max_outer_iters=2))
         assert not report.converged
         assert report.iterations == len(seen) == 2
         dist, summary = seen[-1]
@@ -351,6 +401,20 @@ class TestKktVerify:
         for tol in (0.0, -1e-8, float("nan")):
             with pytest.raises(ValueError, match="tolerance must be positive"):
                 report_for_distribution(table_dists[2], ChannelSpec(2), tol=tol)
+
+    @pytest.mark.parametrize("n", [2048, 4096])
+    @pytest.mark.parametrize("points,weights", [
+        ([0, .086, .457, .5, .543, .914, 1], [188, 105, 120, 173, 120, 105, 188]),
+        ([0, .062, .157, .296, .395, .605, .704, .843, .938, 1],
+         [139, 78, 63, 88, 131, 131, 88, 63, 78, 139]),
+        ([0, .151, .257, .392, .5, .608, .743, .849, 1], [87, 140, 143, 86, 87, 86, 143, 140, 87]),
+    ], ids=["7-atoms", "10-atoms", "9-atoms"])
+    def test_large_n_symmetric_inputs(self, n, points, weights):
+        # the pmf sums to 1 within 1e-12 only with near-exact log C(n, y):
+        # log-gamma differences, off by up to 1.2e-11 at n = 4096, miss it
+        dist = DiscreteInput(points, np.asarray(weights) / sum(weights))
+        report = report_for_distribution(dist, ChannelSpec(n), grid_size=1001)
+        assert abs(report.output.probs.sum() - 1.0) <= 1e-12
 
     def test_solved_twenty_all_flags(self, solved):
         report = solved(20)
