@@ -29,27 +29,12 @@ _LN2 = float(np.log(2.0))
 
 
 def _solver_config(args) -> SolverConfig:
-    return SolverConfig(
-        grid_size=args.grid_size,
-        ba_tol=args.ba_tol,
-        kkt_tol=args.kkt_tol,
-        merge_radius=args.merge_radius,
-        prune_weight=args.prune_weight,
-        max_outer_iters=args.max_outer_iters,
-    )
+    return SolverConfig(kkt_tol=args.kkt_tol, max_outer_iters=args.max_outer_iters)
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--grid-size", type=int, default=2049,
-                   help="certification sweep of 10x this many points (odd, default 2049)")
-    p.add_argument("--ba-tol", type=float, default=1e-10,
-                   help="Blahut-Arimoto duality-gap stop (default 1e-10)")
     p.add_argument("--kkt-tol", type=float, default=1e-8,
                    help="certified KKT slack target (default 1e-8)")
-    p.add_argument("--merge-radius", type=float, default=1e-4,
-                   help="atom clustering distance (default 1e-4)")
-    p.add_argument("--prune-weight", type=float, default=1e-12,
-                   help="atom drop threshold (default 1e-12)")
     p.add_argument("--max-outer-iters", type=int, default=200,
                    help="outer iteration cap (default 200)")
 
@@ -88,8 +73,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dist", required=True,
                    help='JSON file with {"points": [...], "weights": [...]} '
                         '(a solve report with "support" also works)')
-    p.add_argument("--grid-size", type=int, default=solver.CERT_GRID_SIZE,
-                   help=f"certification grid size (default {solver.CERT_GRID_SIZE})")
     p.add_argument("--kkt-tol", type=float, default=1e-8)
     _add_output_flags(p)
 
@@ -176,7 +159,7 @@ def _cmd_verify(args) -> int:
     with open(args.dist) as fh:
         payload = json.load(fh)
     dist = DiscreteInput.from_dict(payload)
-    summary, _, _ = solver._certify(dist, ChannelSpec(args.n), args.grid_size, args.kkt_tol)
+    summary, _, _ = solver._certify(dist, ChannelSpec(args.n), args.kkt_tol)
     out = {
         "n": args.n,
         "capacity_nats": summary.capacity_nats,

@@ -12,8 +12,6 @@ construction.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -152,52 +150,24 @@ def _info_terms(spec: ChannelSpec, xs: np.ndarray, logP: np.ndarray, P: np.ndarr
     return ival, Pp, ip, np.sum(Ppp * d, axis=1) + np.sum(Pp * t, axis=1)
 
 
-# Cells in flight in the density sweep, summed over the CPUs that sweep it:
-# each takes chunks of _CHUNK_CELLS // cpus cells.  A chunk-sized float array
-# is then at most 400 KB, so the five or so of them one chunk needs (the
-# kernel's products, logP, P, the terms) stay within a 2 MB per-core L2 cache,
-# and peak memory does not grow with the CPU count.
+# Cells per chunk of the density sweep: a chunk-sized float array is then at
+# most 400 KB, so the five or so of them one chunk needs (the kernel's
+# products, logP, P, the terms) stay within a 2 MB L2 cache, and peak memory
+# does not grow with the number of points.
 _CHUNK_CELLS = 50_000
 
 
-def _sweep_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the OS has one."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
 def _info_density_against_logq(spec: ChannelSpec, xs, logq: np.ndarray) -> np.ndarray:
-    """i(x) = D(P(.|x) || q) for an array of x, given log q.
-
-    The rows are split into one contiguous block of whole chunks per CPU;
-    the calling thread sweeps the first block and a pool made for this call
-    the others (numpy releases the GIL in its elementwise loops).  Each row's
-    arithmetic does not depend on the chunk it falls in, so the result is
-    bit-identical whatever the CPU count.
-    """
+    """i(x) = D(P(.|x) || q) for an array of x, given log q, swept in chunks
+    of rows.  Each row's arithmetic does not depend on the chunk it falls
+    in, so the result is bit-identical whatever the chunking."""
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     out = np.empty(len(xs))
-    cpus = _sweep_cpus()
-    step = max(1, _CHUNK_CELLS // cpus // (spec.n + 1))
-    block = step * max(1, -(-len(xs) // (step * cpus)))
-
-    def sweep(lo):
-        for s in range(lo, min(lo + block, len(xs)), step):
-            x = xs[s:s + step]
-            logP = log_pmf_matrix(spec, x)
-            out[s:s + step] = _info_terms(spec, x, logP, np.exp(logP), logq)
-
-    rest = range(block, len(xs), block)
-    if not rest:
-        sweep(0)
-        return out
-    with ThreadPoolExecutor(max_workers=len(rest)) as pool:
-        futures = [pool.submit(sweep, lo) for lo in rest]
-        sweep(0)
-        for f in futures:
-            f.result()
+    step = max(1, _CHUNK_CELLS // (spec.n + 1))
+    for s in range(0, len(xs), step):
+        x = xs[s:s + step]
+        logP = log_pmf_matrix(spec, x)
+        out[s:s + step] = _info_terms(spec, x, logP, np.exp(logP), logq)
     return out
 
 

@@ -14,9 +14,11 @@ interior pairs and a centre atom.  The solve works in three layers:
    one regular unknown covers a centre atom (s = 0) and a pair, and Newton
    splits or merges the centre by itself; negative masses mark orbits to
    drop, and where Newton stalls a direct ascent of I brings it in range;
-3. the half support becomes an input on [0, 1], whose density a fine grid
-   sweep certifies; where the density still exceeds the capacity an atom is
-   added.
+3. the half support becomes an input on [0, 1] for certification: the
+   information density is evaluated on a grid of 4 points per kernel width
+   in arcsin sqrt(x), and each local maximum on it is refined by Newton's
+   method on i'; where a peak still exceeds the capacity an atom is added
+   there.
 """
 
 from __future__ import annotations
@@ -42,28 +44,22 @@ log = logging.getLogger(__name__)
 
 _TINY_Q = 1e-300
 _DEAD_WEIGHT = 1e-40
-# default grid of kkt_verify, report_for_distribution and `binomcap verify`
-CERT_GRID_SIZE = 20_490
+_BA_TOL = 1e-10        # duality gap at which Blahut-Arimoto on the support stops
+_MERGE_RADIUS = 1e-4   # half-support atoms at most this far apart merge
+_PRUNE_WEIGHT = 1e-12  # orbits at most this heavy are dropped
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tunable knobs of the capacity solver; grid_size only sizes the
-    certification sweep, at 10 * grid_size points."""
+    """The KKT slack and equality defect a solve must reach to certify, and
+    its budget of outer iterations."""
 
-    grid_size: int = 2049
-    ba_tol: float = 1e-10
     kkt_tol: float = 1e-8
-    merge_radius: float = 1e-4
-    prune_weight: float = 1e-12
     max_outer_iters: int = 200
 
     def __post_init__(self):
-        if self.grid_size < 3 or self.grid_size % 2 == 0:
-            raise ValueError("grid_size must be odd and at least 3")
-        for name in ("ba_tol", "kkt_tol", "merge_radius", "prune_weight"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        if self.kkt_tol <= 0:
+            raise ValueError("kkt_tol must be positive")
         if self.max_outer_iters < 1:
             raise ValueError("max_outer_iters must be at least 1")
 
@@ -81,7 +77,7 @@ class BAResult:
 
 @dataclass(frozen=True)
 class KktSummary:
-    """Optimality certificate measured on a dense grid."""
+    """Optimality certificate: i on the arcsine grid and its refined peaks."""
 
     capacity_nats: float
     slack: float
@@ -257,14 +253,16 @@ def _full_input(h: np.ndarray, v: np.ndarray) -> DiscreteInput:
 _SEED_ATOMS_PER_ROOT_N = 1.8
 
 
-def _seed_support(spec: ChannelSpec, config: SolverConfig):
+def _seed_support(spec: ChannelSpec):
     """Initial half support from the arcsine (Jeffreys) prior: about
     1.8 sqrt(n) atoms on [0, 1] equally spaced in theta = arcsin sqrt(x),
-    the ones in [0, 1/2] with equal orbit masses."""
-    K = int(_SEED_ATOMS_PER_ROOT_N * math.sqrt(spec.n))
+    the ones in [0, 1/2] with equal orbit masses.  At least 3 atoms, so 1/2
+    is one: for n >= 2, e^C >= 17/8 > 2, and the paper's cardinality bound
+    allows no fewer."""
+    K = max(3, int(_SEED_ATOMS_PER_ROOT_N * math.sqrt(spec.n)))
     x = 0.5 - 0.5 * np.cos(np.linspace(0.0, math.pi, K))  # sin^2 theta
     h = x[x <= 0.5]
-    return _merge_half(h, np.ones(len(h)), config.merge_radius)
+    return _merge_half(h, np.ones(len(h)), _MERGE_RADIUS)
 
 
 # ---------------------------------------------------------------------------
@@ -475,16 +473,16 @@ def _ascend_information(spec: ChannelSpec, h: np.ndarray, v: np.ndarray):
     return x[order], w[order]
 
 
-def _clean_structure(h, v, config: SolverConfig, drop_w: float):
+def _clean_structure(h, v, drop_w: float):
     """Prune near-dead orbits (never the endpoint one) and merge collisions."""
     keep = v > drop_w
     keep[0] = True
-    nh, nv = _merge_half(h[keep], v[keep], config.merge_radius)
+    nh, nv = _merge_half(h[keep], v[keep], _MERGE_RADIUS)
     # snapping an atom onto 1/2 alone is no change of structure
     return nh, nv, len(nh) != len(h)
 
 
-def _polish(spec: ChannelSpec, h: np.ndarray, v: np.ndarray, config: SolverConfig):
+def _polish(spec: ChannelSpec, h: np.ndarray, v: np.ndarray):
     """Fixed-structure solve: Newton, the ascent where it stalls, Newton
     again; an orbit whose Newton mass goes negative is dropped.  Newton
     splits or merges the centre by itself (the centre orbit's s), so the
@@ -499,12 +497,12 @@ def _polish(spec: ChannelSpec, h: np.ndarray, v: np.ndarray, config: SolverConfi
             if j == 0:
                 break
             log.debug("polish: dropping atom %.6f (mass %.2e)", nh[j], nv[j])
-            h, v = np.delete(nh, j), np.maximum(np.delete(nv, j), config.prune_weight)
+            h, v = np.delete(nh, j), np.maximum(np.delete(nv, j), _PRUNE_WEIGHT)
             v = v / v.sum()
         else:
             log.debug("polish: Newton stalled (residual %.1e); direct ascent", fn)
             h, v = _ascend_information(spec, h, v)
-            h, v, changed = _clean_structure(h, v, config, drop_w=1e-7)
+            h, v, changed = _clean_structure(h, v, drop_w=1e-7)
             if not changed:
                 nh, nv, status, fn = _kkt_newton(spec, h, v)
                 return (nh, nv / nv.sum()) if status == "ok" else (h, v)
@@ -516,30 +514,81 @@ def _polish(spec: ChannelSpec, h: np.ndarray, v: np.ndarray, config: SolverConfi
 # certification
 # ---------------------------------------------------------------------------
 
-def _certify(dist: DiscreteInput, spec: ChannelSpec, grid_points: int,
-             tol: float, merge_radius: float = 1e-4) -> tuple[KktSummary, np.ndarray, np.ndarray]:
-    """Grid sweep of the information density plus structural flags.
+# grid points per kernel width: in phi = 2 arcsin sqrt(x) the binomial kernel
+# P(.|x) has a width of about 1/sqrt(n) over all of [0, pi]
+_CERT_POINTS_PER_WIDTH = 4
 
-    A grid of fewer than 3 points holds at most the endpoints; the sweep
-    would then see only those and the atoms, and certify non-optimal inputs.
+
+def _cert_grid(n: int) -> np.ndarray:
+    """x = sin^2(phi / 2) on an even number of equal steps of phi over
+    [0, pi], _CERT_POINTS_PER_WIDTH per kernel width; it holds 0, 1/2 and 1
+    and is mirror-symmetric to the bit."""
+    half = math.ceil(_CERT_POINTS_PER_WIDTH * math.pi * math.sqrt(n) / 2)
+    h = np.sin(np.linspace(0.0, 0.25 * math.pi, half + 1)) ** 2
+    h[-1] = 0.5
+    return np.concatenate([h, 1.0 - h[-2::-1]])
+
+
+def _refine_peaks(spec: ChannelSpec, logq: np.ndarray, x: np.ndarray,
+                  lo: np.ndarray, hi: np.ndarray, best: np.ndarray):
+    """Climb each x to the maximum of i in its bracket [lo, hi]: a Newton
+    step on i' where i'' < 0 and the step stays in the bracket, else
+    bisection, the bracket shrinking by the sign of i'.  `best` holds i at
+    x; returns the point of each bracket with the largest i evaluated, and
+    that i.  Overwrites x, lo, hi and best."""
+    at = x.copy()
+    todo = np.arange(len(x))
+    for _ in range(100):
+        if not len(todo):
+            break
+        xt = x[todo]
+        logP = log_pmf_matrix(spec, xt)
+        ival, _, ip, ipp = _info_terms(spec, xt, logP, np.exp(logP), logq,
+                                       np.arange(len(xt)))
+        up = ival > best[todo]
+        best[todo[up]], at[todo[up]] = ival[up], xt[up]
+        lo[todo] = np.where(ip > 0.0, xt, lo[todo])
+        hi[todo] = np.where(ip > 0.0, hi[todo], xt)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            nx = xt - ip / ipp
+        newton = (ipp < 0.0) & (nx >= lo[todo]) & (nx <= hi[todo])
+        nx = np.where(newton, nx, 0.5 * (lo[todo] + hi[todo]))
+        x[todo] = nx
+        todo = todo[np.abs(nx - xt) > 1e-12]
+    return at, best
+
+
+def _certify(dist: DiscreteInput, spec: ChannelSpec,
+             tol: float) -> tuple[KktSummary, np.ndarray, np.ndarray]:
+    """Maximum of the information density, peaks and structural flags.
+
+    i is evaluated on the arcsine grid plus the atoms, and every interior
+    local maximum of i on it is refined inside the bracket of its grid
+    neighbours.  The slack is the largest i evaluated less the capacity;
+    the active set is the peaks within tol of it.  Returns the summary and
+    the peaks: (x, i) of the refined maxima and of the endpoints that are
+    grid maxima.
     """
-    if grid_points < 3:
-        raise ValueError(f"certification grid needs at least 3 points, got {grid_points}")
     if not tol > 0.0:
         raise ValueError(f"KKT tolerance must be positive, got {tol}")
     n = spec.n
     logq = log_output_pmf(dist, spec)
-    xs = np.union1d(np.linspace(0.0, 1.0, grid_points), dist.points)
+    xs = np.union1d(_cert_grid(n), dist.points)
     ivals = _info_density_against_logq(spec, xs, logq)
     atom_idx = np.searchsorted(xs, dist.points)
     cap = float(dist.weights @ ivals[atom_idx])
-    slack = float(np.max(ivals) - cap)
     defect = float(np.abs(ivals[atom_idx] - cap).max())
 
-    # the peak of each run of near-capacity points at most merge_radius apart
-    near = np.flatnonzero(np.abs(ivals - cap) <= tol)
-    runs = np.split(near, np.flatnonzero(np.diff(xs[near]) > merge_radius) + 1)
-    active = [float(xs[r[np.argmax(ivals[r])]]) for r in runs if len(r)]
+    # grid maxima; the first of equal neighbours, so the largest i is one
+    s = np.concatenate([[-np.inf], ivals, [-np.inf]])
+    k = np.flatnonzero((s[1:-1] > s[:-2]) & (s[1:-1] >= s[2:]))
+    peak_x, peak_i = xs[k], ivals[k]
+    inner = np.flatnonzero((k > 0) & (k < len(xs) - 1) & np.isfinite(peak_i))
+    ki = k[inner]
+    peak_x[inner], peak_i[inner] = _refine_peaks(spec, logq, xs[ki], xs[ki - 1], xs[ki + 1],
+                                                 peak_i[inner])
+    slack = float(peak_i.max() - cap)
+    active = [float(x) for x in peak_x[np.abs(peak_i - cap) <= tol]]
 
     pts, wts = dist.points, dist.weights
     sym_defect = 0.0
@@ -577,26 +626,24 @@ def _certify(dist: DiscreteInput, spec: ChannelSpec, grid_points: int,
         flags=flags,
         grid_points=len(xs),
     )
-    return summary, xs, ivals
+    return summary, peak_x, peak_i
 
 
-def kkt_verify(report: SolveReport, spec: ChannelSpec,
-               grid_size: int = CERT_GRID_SIZE, tol: float = 1e-8) -> KktSummary:
+def kkt_verify(report: SolveReport, spec: ChannelSpec, tol: float = 1e-8) -> KktSummary:
     """Re-certify a solve report (or any user distribution wrapped in one).
 
-    Recomputes the information density on a fresh grid of `grid_size` points
-    plus the atoms, and re-derives capacity, slack, equality defect, the
-    estimated active set, and all structural flags.
+    Recomputes the information density and its peaks, and re-derives
+    capacity, slack, equality defect, the active set, and all structural
+    flags.
     """
-    summary, _, _ = _certify(report.input, spec, grid_size, tol)
+    summary, _, _ = _certify(report.input, spec, tol)
     return summary
 
 
-def report_for_distribution(dist: DiscreteInput, spec: ChannelSpec,
-                            grid_size: int = CERT_GRID_SIZE, tol: float = 1e-8,
+def report_for_distribution(dist: DiscreteInput, spec: ChannelSpec, tol: float = 1e-8,
                             iterations: int = 0, converged: bool | None = None) -> SolveReport:
     """Build a SolveReport around an externally supplied distribution."""
-    summary, _, _ = _certify(dist, spec, grid_size, tol)
+    summary, _, _ = _certify(dist, spec, tol)
     ok = (summary.slack <= tol and summary.equality_defect <= tol) \
         if converged is None else converged
     return _report(spec, dist, summary, iterations, ok)
@@ -632,43 +679,44 @@ def solve_capacity(spec: ChannelSpec, config: SolverConfig | None = None) -> Sol
     """Compute the capacity and the capacity-achieving input distribution.
 
     Alternates weight optimization (Blahut-Arimoto) with support refinement
-    until a dense certification grid shows both KKT conditions holding to
-    config.kkt_tol; escape atoms are inserted where the information density
-    still exceeds the capacity estimate.  The solve state is a half support
-    (module docstring); it becomes an input on [0, 1] only for certification
-    and the report.  For n = 1 the known two-point solution is returned.
+    until the certification (`_certify`) shows both KKT conditions holding to
+    config.kkt_tol; an escape atom goes in at the largest peak of the
+    information density that still exceeds the capacity estimate.  The solve
+    state is a half support (module docstring); it becomes an input on
+    [0, 1] only for certification and the report.  For n = 1 the known
+    two-point solution is returned.
     """
     config = config or SolverConfig()
     n = spec.n
     if n == 1:
         dist = DiscreteInput(np.array([0.0, 1.0]), np.array([0.5, 0.5]))
-        return report_for_distribution(dist, spec, 10 * config.grid_size,
-                                       config.kkt_tol, iterations=0, converged=True)
+        return report_for_distribution(dist, spec, config.kkt_tol, iterations=0,
+                                       converged=True)
 
-    h, v = _seed_support(spec, config)
+    h, v = _seed_support(spec)
     stall = 0
     for outer in range(1, config.max_outer_iters + 1):
-        v2, lo, hi, _, D, _ = _ba_core(spec, h, config.ba_tol, max_iters=3000,
+        v2, lo, hi, _, D, _ = _ba_core(spec, h, _BA_TOL, max_iters=3000,
                                        defect_tol=config.kkt_tol / 2, orbits=True)
         drop = ((v2 < 1e-6) & (D < lo - 10 * max(hi - lo, config.kkt_tol))) \
-            | (v2 < config.prune_weight)
+            | (v2 < _PRUNE_WEIGHT)
         drop[0] = False
         h, v = h[~drop], v2[~drop] / v2[~drop].sum()
 
-        h, v = _polish(spec, h, v, config)
-        h, v, _ = _clean_structure(h, v, config, drop_w=config.prune_weight)
+        h, v = _polish(spec, h, v)
+        h, v, _ = _clean_structure(h, v, drop_w=_PRUNE_WEIGHT)
 
         dist = _full_input(h, v)
-        summary, xs, ivals = _certify(dist, spec, 10 * config.grid_size,
-                                      config.kkt_tol, config.merge_radius)
+        summary, peak_x, peak_i = _certify(dist, spec, config.kkt_tol)
         if summary.slack <= config.kkt_tol and summary.equality_defect <= config.kkt_tol:
             return _report(spec, dist, summary, outer, converged=True)
-        new = _escape_candidates(xs, ivals, summary.capacity_nats, dist.points, config)
+        new = _escape_candidates(peak_x, peak_i, summary.capacity_nats, dist.points,
+                                 config.kkt_tol)
         stall = 0 if len(new) else stall + 1
         if stall >= 5:
             break
         if len(new):
-            h, v = _merge_half(np.append(h, new), np.append(v, 1e-3), config.merge_radius)
+            h, v = _merge_half(np.append(h, new), np.append(v, 1e-3), _MERGE_RADIUS)
 
     log.warning("solve_capacity(n=%d): not certified after %d outer iterations "
                 "(slack %.2e, defect %.2e)", n, outer, summary.slack,
@@ -676,25 +724,15 @@ def solve_capacity(spec: ChannelSpec, config: SolverConfig | None = None) -> Sol
     return _report(spec, dist, summary, outer, converged=False)
 
 
-def _escape_candidates(xs, ivals, cap, pts, config: SolverConfig) -> np.ndarray:
+def _escape_candidates(peak_x, peak_i, cap, pts, tol) -> np.ndarray:
     """Where the density still exceeds capacity: the next atom in [0, 1/2].
 
-    i is even about 1/2, so the grid points in [0, 1/2] see every peak (past
-    the last one the slack counts as lower).  Takes the largest strict local
-    maximum of the slack, ignoring copies of the atoms pts on [0, 1].
+    i is even about 1/2, so the peaks in [0, 1/2] are all of them.  Takes
+    the largest one more than tol above cap that is not a copy of one of the
+    atoms pts on [0, 1]: where the polish ends off a Newton solution, the
+    atoms' own bumps can top a peak that marks a missing atom.
     """
-    half = xs <= 0.5
-    xs = xs[half]
-    s = ivals[half] - cap
-    if not np.all(np.isfinite(s)):
-        bad = np.flatnonzero(~np.isfinite(s))
-        new = np.array([xs[bad[len(bad) // 2]]])
-    else:
-        s = np.append(s, -np.inf)
-        loc = np.flatnonzero((s[1:-1] > s[:-2]) & (s[1:-1] >= s[2:])
-                             & (s[1:-1] > config.kkt_tol)) + 1
-        if len(loc) == 0:
-            return np.array([])
-        new = np.array([xs[loc[np.argmax(s[loc])]]])
-    radius = max(5 * config.merge_radius, 0.25 * float(np.diff(pts).min()))
-    return new[np.min(np.abs(new[:, None] - pts[None, :]), axis=1) > radius]
+    radius = max(5 * _MERGE_RADIUS, 0.25 * float(np.diff(pts).min()))
+    far = np.min(np.abs(peak_x[:, None] - pts[None, :]), axis=1) > radius
+    s = np.where(far & (peak_x <= 0.5), peak_i - cap, -np.inf)
+    return peak_x[[np.argmax(s)]] if s.max() > tol else np.array([])

@@ -124,15 +124,12 @@ class TestVerifyCommand:
         dist = tmp_path / "dist.json"
         dist.write_text(json.dumps({"points": [0.0, 0.2, 0.5, 0.8, 1.0],
                                     "weights": [0.3, 0.15, 0.1, 0.15, 0.3]}))
-        code, out, _ = run_cli(capsys, "verify", "--n", "4096", "--dist", str(dist),
-                               "--grid-size", "2049")
+        code, out, _ = run_cli(capsys, "verify", "--n", "4096", "--dist", str(dist))
         assert code == 0
         payload = json.loads(out)
         assert payload["kkt_slack"] > 1e-6
 
     @pytest.mark.parametrize("flag, value, reason", [
-        ("--grid-size", "1", "at least 3 points"),
-        ("--grid-size", "2", "at least 3 points"),
         ("--kkt-tol", "0", "tolerance must be positive"),
     ])
     def test_rejects_degenerate_certificate(self, capsys, tmp_path, flag, value, reason):

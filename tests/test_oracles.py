@@ -50,8 +50,8 @@ class TestExactSolutions:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_fixtures_satisfy_kkt(self, n):
         sol = exact_solution(n)
-        report = report_for_distribution(sol.input, ChannelSpec(n), grid_size=10001)
-        summary = kkt_verify(report, ChannelSpec(n), grid_size=10001)
+        report = report_for_distribution(sol.input, ChannelSpec(n))
+        summary = kkt_verify(report, ChannelSpec(n))
         assert summary.slack <= 1e-10
         assert summary.equality_defect <= 1e-10
 
