@@ -43,7 +43,7 @@ from .kernel import ChannelSpec, log_pmf_matrix
 log = logging.getLogger(__name__)
 
 _TINY_Q = 1e-300
-_DEAD_WEIGHT = 1e-40
+_DEAD_WEIGHT = 1e-40   # Blahut-Arimoto weight floor: no weight goes subnormal
 _BA_TOL = 1e-10        # duality gap at which Blahut-Arimoto on the support stops
 _MERGE_RADIUS = 1e-4   # half-support atoms at most this far apart merge
 _PRUNE_WEIGHT = 1e-12  # orbits at most this heavy are dropped
@@ -66,7 +66,9 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class BAResult:
-    """Blahut-Arimoto outcome with the certified capacity sandwich."""
+    """Blahut-Arimoto outcome: the capacity sandwich of the last iterate
+    checked and its weights; at the iteration cap (converged False) the
+    weights are one update past that iterate."""
 
     weights: np.ndarray
     capacity_low: float
@@ -131,71 +133,37 @@ def _mirror_mix(P: np.ndarray) -> np.ndarray:
 
 def _ba_core(spec: ChannelSpec, xs: np.ndarray, tol: float, max_iters: int,
              defect_tol: float | None = None, orbits: bool = False):
-    """Multiplicative BA update with an active-set speedup.
-
-    Points whose weight collapses below 1e-40 are frozen at zero; the
-    capacity_high side of the sandwich is always re-checked against the full
-    point set before stopping, and frozen points are revived if their
-    information density climbs back above the active maximum.  The active
-    rows of P, rowH and w are gathered once per change of the active set
-    (freeze or revive) and scattered back into the full w only for the
-    full-set check and on return.
+    """Plain BA update w <- w exp(D - max D), renormalised and floored at
+    1e-40 so that no weight goes subnormal (which slows a fine grid to a
+    crawl; a solver support never nears the floor).  Stops once max D - w.D
+    <= tol and, given defect_tol, |D - w.D| <= defect_tol at every weight of
+    at least 1e-9.  At the cap, w is one update past the iterate that
+    capacity_low, capacity_high and D describe.
 
     With orbits=True each x in [0, 1/2] stands for its orbit {x, 1 - x},
     starting from the orbit sums of a uniform start on the points of [0, 1].
-    Returns (w, capacity_low, capacity_high, iterations, D_full, converged).
+    Returns (w, capacity_low, capacity_high, iterations, D, converged).
     """
     xs = np.asarray(xs, dtype=float)
-    m = len(xs)
     logP = log_pmf_matrix(spec, xs)
     P = np.exp(logP)
-    with np.errstate(invalid="ignore"):
-        rowH = np.sum(np.where(P > 0, P * logP, 0.0), axis=1)
-    del logP  # so that two gathered copies of P fit under the peak above
-    wa = np.full(m, 1.0 / m)
+    rowH = _info_terms(spec, xs, logP, P, 0.0)
     if orbits:
         P = _mirror_mix(P)
-        wa = np.where(xs == 0.5, 1.0, 2.0)
-        wa /= wa.sum()
-    idx = np.arange(m)
-    Pa, Ha = P, rowH
-    refresh = 200
-    lo = 0.0
+    w = np.where(xs == 0.5, 1.0, 2.0) if orbits else np.ones(len(xs))
+    w /= w.sum()
     for it in range(1, max_iters + 1):
-        q = wa @ Pa
-        logq = np.log(np.maximum(q, _TINY_Q))
-        Da = Ha - Pa @ logq
-        lo = float(wa @ Da)
-        hi_a = float(Da.max())
-        candidate = hi_a - lo <= tol
-        if candidate or it % refresh == 0 or it == max_iters:
-            w = np.zeros(m)
-            w[idx] = wa
-            D_full = rowH - P @ logq
-            hi = float(D_full.max())
-            revive = (w == 0.0) & (D_full > hi_a + 0.5 * tol)
-            if revive.any():
-                w[revive] = _DEAD_WEIGHT
-                w /= w.sum()
-                idx = np.flatnonzero(w)
-                Pa, Ha, wa = P[idx], rowH[idx], w[idx]
-                continue
-            ok = hi - lo <= tol
-            if ok and defect_tol is not None:
-                sig = w >= 1e-9
-                ok = float(np.abs(D_full[sig] - lo).max()) <= defect_tol
-            if ok:
-                return w, lo, hi, it, D_full, True
-        wa = wa * np.exp(Da - hi_a)
-        dead = wa < _DEAD_WEIGHT
-        if dead.any():
-            keep = ~dead
-            idx, Pa, Ha, wa = idx[keep], Pa[keep], Ha[keep], wa[keep]
-        wa /= wa.sum()
-    w = np.zeros(m)
-    w[idx] = wa
-    D_full = rowH - P @ logq
-    return w, lo, float(D_full.max()), max_iters, D_full, False
+        D = rowH - P @ np.log(np.maximum(w @ P, _TINY_Q))
+        lo = float(w @ D)
+        hi = float(D.max())
+        ok = hi - lo <= tol
+        if ok and defect_tol is not None:
+            ok = float(np.abs(D[w >= 1e-9] - lo).max()) <= defect_tol
+        if ok:
+            return w, lo, hi, it, D, True
+        w = np.maximum(w * np.exp(D - hi), _DEAD_WEIGHT)
+        w /= w.sum()
+    return w, lo, hi, max_iters, D, False
 
 
 def blahut_arimoto(spec: ChannelSpec, grid, tol: float,
@@ -203,8 +171,9 @@ def blahut_arimoto(spec: ChannelSpec, grid, tol: float,
     """Optimize input weights on a fixed support by Blahut-Arimoto.
 
     Stops when the standard duality sandwich max_k D_k - sum_k w_k D_k closes
-    below tol; on hitting the iteration cap the best iterate is returned with
-    converged=False.
+    below tol.  On hitting the iteration cap it returns converged=False with
+    the sandwich of the last iterate checked and the weights one update past
+    that iterate.
     """
     grid = np.asarray(grid, dtype=float)
     if len(grid) < 2:

@@ -17,7 +17,6 @@ from binomcap import (
     solve_capacity,
 )
 from binomcap import solver
-from binomcap.kernel import log_pmf_matrix
 from binomcap.solver import _ba_core, _kkt_residual, _kkt_system
 
 
@@ -27,42 +26,6 @@ def _half(report):
     pts, w = report.input.points, report.input.weights
     h = pts[pts <= 0.5].copy()
     return h, np.where(h < 0.5, 2.0, 1.0) * w[:len(h)]
-
-
-def _mask_indexed_ba(spec, xs, tol, max_iters):
-    """Reference BA loop that re-gathers the active rows by boolean mask on
-    every iteration; the gathered loop in the solver must match it exactly."""
-    m = len(xs)
-    logP = log_pmf_matrix(spec, xs)
-    P = np.exp(logP)
-    with np.errstate(invalid="ignore"):
-        rowH = np.sum(np.where(P > 0, P * logP, 0.0), axis=1)
-    w = np.full(m, 1.0 / m)
-    active = np.ones(m, dtype=bool)
-    for it in range(1, max_iters + 1):
-        Pa = P[active]
-        q = w[active] @ Pa
-        logq = np.log(np.maximum(q, 1e-300))
-        Da = rowH[active] - Pa @ logq
-        lo = float(w[active] @ Da)
-        hi_a = float(Da.max())
-        if hi_a - lo <= tol or it % 200 == 0 or it == max_iters:
-            D_full = rowH - P @ logq
-            revive = (~active) & (D_full > hi_a + 0.5 * tol)
-            if revive.any():
-                w[revive] = 1e-40
-                active |= revive
-                w /= w.sum()
-                continue
-            if float(D_full.max()) - lo <= tol:
-                return w, it
-        w[active] = w[active] * np.exp(Da - hi_a)
-        dead = active & (w < 1e-40)
-        if dead.any():
-            w[dead] = 0.0
-            active &= ~dead
-        w[active] /= w[active].sum()
-    return w, max_iters
 
 
 class TestSolverConfig:
@@ -97,20 +60,18 @@ class TestBlahutArimoto:
     def test_iteration_cap_flags_nonconvergence(self):
         res = blahut_arimoto(ChannelSpec(4), np.linspace(0, 1, 101), 1e-12, max_iters=5)
         assert not res.converged
+        assert res.iterations == 5
+        assert res.capacity_low <= res.capacity_high
         assert abs(res.weights.sum() - 1.0) <= 1e-12
 
-    def test_gathered_loop_matches_mask_indexed_reference(self):
-        spec = ChannelSpec(5)
+    def test_fine_grid_weights_stay_on_the_floor(self):
         grid = np.linspace(0.0, 1.0, 1001)
-        ref_w, ref_iters = _mask_indexed_ba(spec, grid, 1e-5, 100_000)
-        res = blahut_arimoto(spec, grid, 1e-5, max_iters=100_000)
+        res = blahut_arimoto(ChannelSpec(5), grid, 1e-5, max_iters=100_000)
         assert res.converged
-        assert res.iterations == ref_iters
-        assert np.array_equal(res.weights, ref_w)
-        frozen = ref_w == 0.0
-        assert frozen.sum() > len(grid) // 2
-        assert np.all(res.weights[frozen] == 0.0)
         assert abs(res.weights.sum() - 1.0) <= 1e-12
+        # floored, never zero or subnormal, though most of the grid is dead
+        assert res.weights.min() >= 1e-40
+        assert (res.weights < 1e-30).sum() > len(grid) // 2
 
     def test_bad_grid_rejected(self):
         with pytest.raises(ValueError):
