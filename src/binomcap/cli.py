@@ -181,8 +181,8 @@ def _cmd_sweep(args) -> int:
     config = _solver_config(args)
     rows = []
     all_converged = True
-    for n in range(1, args.n_max + 1):
-        report = solve_capacity(ChannelSpec(n), config)
+    for report in solver.sweep_capacity(args.n_max, config):
+        n = report.n
         all_converged &= report.converged
         card_lo, card_hi = bounds_mod.cardinality_bounds(n, max(report.capacity_nats, 0.0))
         rows.append({

@@ -19,6 +19,9 @@ interior pairs and a centre atom.  The solve works in three layers:
    in arcsin sqrt(x), and each local maximum on it is refined by Newton's
    method on i'; where a peak still exceeds the capacity an atom is added
    there.
+
+`sweep_capacity` starts each n from the solution certified at n - 1 with
+layers 2 and 3 alone, and runs the full solve where that does not certify.
 """
 
 from __future__ import annotations
@@ -655,12 +658,47 @@ def solve_capacity(spec: ChannelSpec, config: SolverConfig | None = None) -> Sol
     [0, 1] only for certification and the report.  For n = 1 the known
     two-point solution is returned.
     """
+    return _solve(spec, config or SolverConfig())[0]
+
+
+def sweep_capacity(n_max: int, config: SolverConfig | None = None):
+    """Yield the SolveReport of every n = 1..n_max.  The support moves
+    continuously in n between structural events, so the half support
+    certified at n - 1 is polished and certified at n (iterations=1); where
+    that does not certify, for n <= 2 and after an uncertified n, the report
+    is solve_capacity's."""
     config = config or SolverConfig()
+    half = None
+    for n in range(1, n_max + 1):
+        spec = ChannelSpec(n)
+        if half is not None:
+            h, v, dist, summary, _, _ = _polish_certify(spec, *half, config.kkt_tol)
+            if summary.slack <= config.kkt_tol and summary.equality_defect <= config.kkt_tol:
+                half = h, v
+                yield _report(spec, dist, summary, 1, converged=True)
+                continue
+        report, half = _solve(spec, config)
+        yield report
+
+
+def _polish_certify(spec: ChannelSpec, h: np.ndarray, v: np.ndarray, tol: float):
+    """The tail of an outer iteration: polish the half support, clean its
+    structure and certify its input.  Returns (h, v, input, summary, peak_x,
+    peak_i)."""
+    h, v = _polish(spec, h, v)
+    h, v, _ = _clean_structure(h, v, drop_w=_PRUNE_WEIGHT)
+    dist = _full_input(h, v)
+    return (h, v, dist, *_certify(dist, spec, tol))
+
+
+def _solve(spec: ChannelSpec, config: SolverConfig):
+    """solve_capacity, and the half support (h, v) it certified (None where
+    it did not certify, and for n = 1)."""
     n = spec.n
     if n == 1:
         dist = DiscreteInput(np.array([0.0, 1.0]), np.array([0.5, 0.5]))
         return report_for_distribution(dist, spec, config.kkt_tol, iterations=0,
-                                       converged=True)
+                                       converged=True), None
 
     h, v = _seed_support(spec)
     stall = 0
@@ -672,13 +710,9 @@ def solve_capacity(spec: ChannelSpec, config: SolverConfig | None = None) -> Sol
         drop[0] = False
         h, v = h[~drop], v2[~drop] / v2[~drop].sum()
 
-        h, v = _polish(spec, h, v)
-        h, v, _ = _clean_structure(h, v, drop_w=_PRUNE_WEIGHT)
-
-        dist = _full_input(h, v)
-        summary, peak_x, peak_i = _certify(dist, spec, config.kkt_tol)
+        h, v, dist, summary, peak_x, peak_i = _polish_certify(spec, h, v, config.kkt_tol)
         if summary.slack <= config.kkt_tol and summary.equality_defect <= config.kkt_tol:
-            return _report(spec, dist, summary, outer, converged=True)
+            return _report(spec, dist, summary, outer, converged=True), (h, v)
         new = _escape_candidates(peak_x, peak_i, summary.capacity_nats, dist.points,
                                  config.kkt_tol)
         stall = 0 if len(new) else stall + 1
@@ -688,9 +722,11 @@ def solve_capacity(spec: ChannelSpec, config: SolverConfig | None = None) -> Sol
             h, v = _merge_half(np.append(h, new), np.append(v, 1e-3), _MERGE_RADIUS)
 
     log.warning("solve_capacity(n=%d): not certified after %d outer iterations "
-                "(slack %.2e, defect %.2e)", n, outer, summary.slack,
-                summary.equality_defect)
-    return _report(spec, dist, summary, outer, converged=False)
+                "(slack %.2e, defect %.2e): %s", n, outer, summary.slack,
+                summary.equality_defect,
+                "no peak away from the atoms for 5 outer iterations" if stall >= 5
+                else "outer-iteration budget spent")
+    return _report(spec, dist, summary, outer, converged=False), None
 
 
 def _escape_candidates(peak_x, peak_i, cap, pts, tol) -> np.ndarray:

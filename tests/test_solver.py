@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from binomcap import (
     solve_capacity,
 )
 from binomcap import solver
+from binomcap.serialize import dumps
 from binomcap.solver import _ba_core, _kkt_residual, _kkt_system
 
 
@@ -323,6 +325,60 @@ class TestSolverVariants:
         assert np.array_equal(report.input.weights, dist.weights)
         assert report.kkt_slack == summary.slack
         assert report.equality_defect == summary.equality_defect
+
+
+    def test_budget_warning_names_the_rule(self, caplog):
+        # n = 17 takes two outer iterations
+        with caplog.at_level(logging.WARNING, logger="binomcap.solver"):
+            report = solve_capacity(ChannelSpec(17), SolverConfig(max_outer_iters=1))
+        assert not report.converged
+        assert "outer-iteration budget spent" in caplog.text
+
+    def test_stall_warning_names_the_rule(self, caplog):
+        # n = 232 stops after 8 outer iterations with no escape atom left
+        with caplog.at_level(logging.WARNING, logger="binomcap.solver"):
+            report = solve_capacity(ChannelSpec(232))
+        assert not report.converged
+        assert report.iterations == 8
+        assert "no peak away from the atoms for 5 outer iterations" in caplog.text
+
+
+class TestSweepCapacity:
+    def test_matches_cold_solves(self, solved):
+        reports = list(solver.sweep_capacity(40))
+        assert [r.n for r in reports] == list(range(1, 41))
+        for report in reports:
+            cold = solved(report.n)
+            assert report.converged
+            assert report.kkt_slack <= 1e-12
+            assert abs(report.capacity_nats - cold.capacity_nats) <= 1e-12
+            assert report.support_size == cold.support_size
+
+    def test_failed_warm_step_falls_back_to_the_cold_solve(self, monkeypatch):
+        # the warm step at n = 7 keeps the n = 6 solution as it is, which does
+        # not certify; n = 7 then gets the cold report, and n = 8 starts warm
+        cold = dumps(solve_capacity(ChannelSpec(7)).to_dict())
+        polish, seed = solver._polish, solver._seed_support
+        polished, seeded = [], []
+
+        def stuck_once_at_7(spec, h, v):
+            polished.append(spec.n)
+            if polished.count(7) == 1 and spec.n == 7:
+                return h, v
+            return polish(spec, h, v)
+
+        def spy_seed(spec):
+            seeded.append(spec.n)
+            return seed(spec)
+
+        monkeypatch.setattr(solver, "_polish", stuck_once_at_7)
+        monkeypatch.setattr(solver, "_seed_support", spy_seed)
+        reports = list(solver.sweep_capacity(8))
+        assert seeded == [2, 7]
+        assert dumps(reports[6].to_dict()) == cold
+        assert polished.count(8) == 1
+        assert reports[7].iterations == 1
+        assert reports[7].converged
 
 
 class TestKktVerify:
