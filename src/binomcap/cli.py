@@ -159,7 +159,7 @@ def _cmd_verify(args) -> int:
     with open(args.dist) as fh:
         payload = json.load(fh)
     dist = DiscreteInput.from_dict(payload)
-    summary, _, _ = solver._certify(dist, ChannelSpec(args.n), args.kkt_tol)
+    summary = solver._certify(dist, ChannelSpec(args.n), args.kkt_tol)[0]
     out = {
         "n": args.n,
         "capacity_nats": summary.capacity_nats,

@@ -59,7 +59,7 @@ def log_binom_coeffs(n: int) -> np.ndarray:
     return out
 
 
-def log_pmf_matrix(spec: ChannelSpec, xs) -> np.ndarray:
+def log_pmf_matrix(spec: ChannelSpec, xs, lo=None, width: int = 0) -> np.ndarray:
     """Log-pmf rows for an array of inputs; shape (len(xs), n+1).
 
     Entries are log C(n,y) + y log x + (n-y) log(1-x).  log x and log(1-x)
@@ -67,19 +67,27 @@ def log_pmf_matrix(spec: ChannelSpec, xs) -> np.ndarray:
     the per-cell xlogy(y, x) and xlog1py(n-y, -x).  Endpoint rows follow the
     0 log 0 = 0 convention: x = 0 gives 0 at y = 0 and -inf elsewhere, x = 1
     gives 0 at y = n and -inf elsewhere.
+
+    Given per-row starts `lo` and a `width`, row k holds only the outputs
+    y = lo[k] + arange(width) (all within 0..n), shape (len(xs), width);
+    each entry is bit-identical to its full-row value.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     n = spec.n
     y = np.arange(n + 1, dtype=float)
+    lbc = log_binom_coeffs(n)
+    if lo is not None:
+        yi = np.asarray(lo)[:, None] + np.arange(width)
+        y, lbc = y[yi], lbc[yi]
     at0 = xs == 0.0
     at1 = xs == 1.0
     # endpoint rows are overwritten below; 0.5 keeps their logs finite
     xr = np.where(at0 | at1, 0.5, xs)[:, None]
     out = y * xlogy(1.0, xr)
-    out += log_binom_coeffs(n)
+    out += lbc
     out += (n - y) * xlog1py(1.0, -xr)
-    out[at0] = np.where(y == 0, 0.0, -np.inf)
-    out[at1] = np.where(y == n, 0.0, -np.inf)
+    for k in np.flatnonzero(at0 | at1):  # certain of y = 0 (x = 0) or y = n (x = 1)
+        out[k] = np.where((y if lo is None else y[k]) == n * at1[k], 0.0, -np.inf)
     return out
 
 

@@ -36,7 +36,6 @@ from scipy.optimize import minimize
 from .distributions import (
     DiscreteInput,
     OutputPmf,
-    induce_output,
     log_output_pmf,
     _info_density_against_logq,
     _info_terms,
@@ -531,15 +530,15 @@ def _refine_peaks(spec: ChannelSpec, logq: np.ndarray, x: np.ndarray,
 
 
 def _certify(dist: DiscreteInput, spec: ChannelSpec,
-             tol: float) -> tuple[KktSummary, np.ndarray, np.ndarray]:
+             tol: float) -> tuple[KktSummary, np.ndarray, np.ndarray, np.ndarray]:
     """Maximum of the information density, peaks and structural flags.
 
     i is evaluated on the arcsine grid plus the atoms, and every interior
     local maximum of i on it is refined inside the bracket of its grid
     neighbours.  The slack is the largest i evaluated less the capacity;
-    the active set is the peaks within tol of it.  Returns the summary and
-    the peaks: (x, i) of the refined maxima and of the endpoints that are
-    grid maxima.
+    the active set is the peaks within tol of it.  Returns the summary, the
+    peaks: (x, i) of the refined maxima and of the endpoints that are grid
+    maxima, and the log output pmf of dist.
     """
     if not tol > 0.0:
         raise ValueError(f"KKT tolerance must be positive, got {tol}")
@@ -598,7 +597,7 @@ def _certify(dist: DiscreteInput, spec: ChannelSpec,
         flags=flags,
         grid_points=len(xs),
     )
-    return summary, peak_x, peak_i
+    return summary, peak_x, peak_i, logq
 
 
 def kkt_verify(report: SolveReport, spec: ChannelSpec, tol: float = 1e-8) -> KktSummary:
@@ -608,29 +607,28 @@ def kkt_verify(report: SolveReport, spec: ChannelSpec, tol: float = 1e-8) -> Kkt
     capacity, slack, equality defect, the active set, and all structural
     flags.
     """
-    summary, _, _ = _certify(report.input, spec, tol)
-    return summary
+    return _certify(report.input, spec, tol)[0]
 
 
 def report_for_distribution(dist: DiscreteInput, spec: ChannelSpec, tol: float = 1e-8,
                             iterations: int = 0, converged: bool | None = None) -> SolveReport:
     """Build a SolveReport around an externally supplied distribution."""
-    summary, _, _ = _certify(dist, spec, tol)
-    ok = (summary.slack <= tol and summary.equality_defect <= tol) \
-        if converged is None else converged
-    return _report(spec, dist, summary, iterations, ok)
+    summary, _, _, logq = _certify(dist, spec, tol)
+    ok = _certified(summary, tol) if converged is None else converged
+    return _report(spec, dist, summary, logq, iterations, ok)
 
 
-def _report(spec: ChannelSpec, dist: DiscreteInput, summary: KktSummary,
+def _report(spec: ChannelSpec, dist: DiscreteInput, summary: KktSummary, logq: np.ndarray,
             iterations: int, converged: bool) -> SolveReport:
-    """SolveReport of a distribution from its certification summary."""
+    """SolveReport of a distribution from its certification summary and its
+    log output pmf."""
     flags = dict(summary.flags)
     flags["equality_defect"] = summary.equality_defect
     flags["symmetry_defect"] = summary.symmetry_defect
     flags["active_set_size"] = len(summary.active_set)
     return SolveReport(
         input=dist,
-        output=induce_output(dist, spec),
+        output=OutputPmf(np.exp(logq), spec.n),
         capacity_nats=summary.capacity_nats,
         kkt_slack=summary.slack,
         equality_defect=summary.equality_defect,
@@ -664,31 +662,53 @@ def solve_capacity(spec: ChannelSpec, config: SolverConfig | None = None) -> Sol
 def sweep_capacity(n_max: int, config: SolverConfig | None = None):
     """Yield the SolveReport of every n = 1..n_max.  The support moves
     continuously in n between structural events, so the half support
-    certified at n - 1 is polished and certified at n (iterations=1); where
-    that does not certify, for n <= 2 and after an uncertified n, the report
-    is solve_capacity's."""
+    certified at n - 1 is polished and certified at n (iterations=1).  Where
+    that does not certify, an escape atom goes in as in an outer iteration
+    of the cold solve and the polish runs once more (iterations=2), which
+    crosses the birth of a centre atom.  Where that does not certify either,
+    for n <= 2 and after an uncertified n, the report is solve_capacity's."""
     config = config or SolverConfig()
+    tol = config.kkt_tol
     half = None
     for n in range(1, n_max + 1):
         spec = ChannelSpec(n)
         if half is not None:
-            h, v, dist, summary, _, _ = _polish_certify(spec, *half, config.kkt_tol)
-            if summary.slack <= config.kkt_tol and summary.equality_defect <= config.kkt_tol:
+            step, iterations = _polish_certify(spec, *half, tol), 1
+            grown = None if _certified(step[3], tol) else _with_escape_atom(step, tol)
+            if grown is not None:
+                step, iterations = _polish_certify(spec, *grown, tol), 2
+            h, v, dist, summary, _, _, logq = step
+            if _certified(summary, tol):
                 half = h, v
-                yield _report(spec, dist, summary, 1, converged=True)
+                yield _report(spec, dist, summary, logq, iterations, converged=True)
                 continue
         report, half = _solve(spec, config)
         yield report
 
 
+def _certified(summary: KktSummary, tol: float) -> bool:
+    """The gate of a certified solve: both KKT conditions hold to tol."""
+    return summary.slack <= tol and summary.equality_defect <= tol
+
+
 def _polish_certify(spec: ChannelSpec, h: np.ndarray, v: np.ndarray, tol: float):
     """The tail of an outer iteration: polish the half support, clean its
     structure and certify its input.  Returns (h, v, input, summary, peak_x,
-    peak_i)."""
+    peak_i, log q)."""
     h, v = _polish(spec, h, v)
     h, v, _ = _clean_structure(h, v, drop_w=_PRUNE_WEIGHT)
     dist = _full_input(h, v)
     return (h, v, dist, *_certify(dist, spec, tol))
+
+
+def _with_escape_atom(step, tol: float):
+    """The half support of a `_polish_certify` step with an atom of mass 1e-3
+    at its escape candidate, or None where there is none."""
+    h, v, dist, summary, peak_x, peak_i, _ = step
+    new = _escape_candidates(peak_x, peak_i, summary.capacity_nats, dist.points, tol)
+    if not len(new):
+        return None
+    return _merge_half(np.append(h, new), np.append(v, 1e-3), _MERGE_RADIUS)
 
 
 def _solve(spec: ChannelSpec, config: SolverConfig):
@@ -710,23 +730,23 @@ def _solve(spec: ChannelSpec, config: SolverConfig):
         drop[0] = False
         h, v = h[~drop], v2[~drop] / v2[~drop].sum()
 
-        h, v, dist, summary, peak_x, peak_i = _polish_certify(spec, h, v, config.kkt_tol)
-        if summary.slack <= config.kkt_tol and summary.equality_defect <= config.kkt_tol:
-            return _report(spec, dist, summary, outer, converged=True), (h, v)
-        new = _escape_candidates(peak_x, peak_i, summary.capacity_nats, dist.points,
-                                 config.kkt_tol)
-        stall = 0 if len(new) else stall + 1
+        step = _polish_certify(spec, h, v, config.kkt_tol)
+        h, v, dist, summary, _, _, logq = step
+        if _certified(summary, config.kkt_tol):
+            return _report(spec, dist, summary, logq, outer, converged=True), (h, v)
+        grown = _with_escape_atom(step, config.kkt_tol)
+        stall = 0 if grown is not None else stall + 1
         if stall >= 5:
             break
-        if len(new):
-            h, v = _merge_half(np.append(h, new), np.append(v, 1e-3), _MERGE_RADIUS)
+        if grown is not None:
+            h, v = grown
 
     log.warning("solve_capacity(n=%d): not certified after %d outer iterations "
                 "(slack %.2e, defect %.2e): %s", n, outer, summary.slack,
                 summary.equality_defect,
                 "no peak away from the atoms for 5 outer iterations" if stall >= 5
                 else "outer-iteration budget spent")
-    return _report(spec, dist, summary, outer, converged=False), None
+    return _report(spec, dist, summary, logq, outer, converged=False), None
 
 
 def _escape_candidates(peak_x, peak_i, cap, pts, tol) -> np.ndarray:

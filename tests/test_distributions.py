@@ -22,11 +22,13 @@ from binomcap import distributions
 from binomcap.density import info_density_second
 from binomcap.distributions import (
     _CHUNK_CELLS,
+    _bernstein_window,
     _info_density_against_logq,
     _info_terms,
     log_output_pmf,
 )
 from binomcap.kernel import log_binom_coeffs, log_pmf_matrix
+from binomcap.solver import _cert_grid
 
 
 def rational_det(matrix):
@@ -160,7 +162,7 @@ def where_form_density(n, xs, logq):
 
 @pytest.mark.filterwarnings("error")
 class TestDensitySweep:
-    @pytest.mark.parametrize("n", [24, 1024])
+    @pytest.mark.parametrize("n", [24, 1024, 4096])
     def test_bit_identical_to_where_form(self, n, rng, monkeypatch):
         spec = ChannelSpec(n)
         logq = log_output_pmf(random_dist(rng), spec)
@@ -171,14 +173,63 @@ class TestDensitySweep:
             xs = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, size - 2)])
             chunks = []
 
-            def spy(spec, x):
-                chunks.append(((x.ctypes.data - xs.ctypes.data) // 8, len(x)))
-                return log_pmf_matrix(spec, x)
+            def spy(spec, x, lo=None, width=0):
+                chunks.append(((x.ctypes.data - xs.ctypes.data) // 8, len(x), width))
+                return log_pmf_matrix(spec, x, lo, width)
 
             monkeypatch.setattr(distributions, "log_pmf_matrix", spy)
             got = _info_density_against_logq(spec, xs, logq)
             assert np.array_equal(got, where_form_density(n, xs, logq))
-            assert chunks == [(s, min(step, size - s)) for s in range(0, size, step)]
+            # one kernel call per chunk of rows; at n = 24 the windows cover
+            # the row and every chunk is swept in full, at n >= 1024 each
+            # chunk on the widest window of its rows
+            assert [c[:2] for c in chunks] == [(s, min(step, size - s))
+                                               for s in range(0, size, step)]
+            lo, hi = _bernstein_window(n, xs)
+            widths = [int((hi[s:s + k] - lo[s:s + k]).max()) + 1 for s, k, _ in chunks]
+            assert [c[2] for c in chunks] == ([0] * len(chunks) if n == 24 else widths)
+
+    @pytest.mark.parametrize("n", [64, 1024, 4096])
+    def test_window_holds_every_cell_above_e_minus_60(self, n):
+        xs = np.array([0.0, 1e-6, 1e-4, 1e-3, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99,
+                       1 - 1e-3, 1 - 1e-4, 1 - 1e-6, 1.0])
+        logP = log_pmf_matrix(ChannelSpec(n), xs)
+        lo, hi = _bernstein_window(n, xs)
+        y = np.arange(n + 1)
+        outside = (y < lo[:, None]) | (y > hi[:, None])
+        assert outside.any()
+        assert np.all(logP[outside] <= -60.0)
+
+    def test_matches_40_digit_reference_at_max_trials(self, rng):
+        # i(x) on the n = 4096 certificate grid against a random symmetric
+        # input with both endpoints, summed over every output in 40 digits;
+        # the double sum is within about 1e-14 relative
+        mp = pytest.importorskip("mpmath").mp
+        n = 4096
+        half = np.sort(rng.uniform(0.02, 0.48, 3))
+        pts = np.concatenate([[0.0], half, [0.5], 1.0 - half[::-1], [1.0]])
+        w = rng.uniform(0.5, 1.5, 5)
+        w = np.concatenate([w, w[-2::-1]])
+        dist = DiscreteInput(pts, w / w.sum())
+        xs = _cert_grid(n)[[1, 100, 250, 403]]
+        got = _info_density_against_logq(ChannelSpec(n), xs, log_output_pmf(dist, ChannelSpec(n)))
+        with mp.workdps(40):
+            logc = [mp.log(mp.binomial(n, y)) for y in range(n + 1)]
+
+            def log_row(x):
+                x = mp.mpf(float(x))
+                if x == 0 or x == 1:
+                    return [0 if y == n * x else -mp.inf for y in range(n + 1)]
+                lx, l1x = mp.log(x), mp.log(1 - x)
+                return [logc[y] + y * lx + (n - y) * l1x for y in range(n + 1)]
+
+            rows = [log_row(p) for p in dist.points]
+            q = [mp.fsum(mp.mpf(float(wk)) * mp.exp(r[y]) for wk, r in zip(dist.weights, rows))
+                 for y in range(n + 1)]
+            for x, g in zip(xs, got):
+                ref = mp.fsum(mp.exp(lp) * (lp - mp.log(qy))
+                              for lp, qy in zip(log_row(x), q) if lp != -mp.inf)
+                assert abs(g - ref) <= 1e-12 * abs(ref)
 
     def test_starved_output(self):
         spec = ChannelSpec(4)

@@ -108,6 +108,18 @@ class TestLogPmfMatrix:
         assert np.array_equal(got, want)
         assert not np.isnan(got).any()
 
+    @pytest.mark.parametrize("n, width", [(1, 1), (24, 7), (4096, 300)])
+    def test_window_is_a_slice_of_the_full_rows(self, n, width):
+        rng = np.random.default_rng(n)
+        lo = rng.integers(0, n + 2 - width, len(self.XS))
+        lo[:2] = (0, n + 1 - width)  # x = 0 and x = 1 see their certain output
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = log_pmf_matrix(ChannelSpec(n), self.XS, lo, width)
+            full = log_pmf_matrix(ChannelSpec(n), self.XS)
+        assert got.shape == (len(self.XS), width)
+        assert np.array_equal(got, np.take_along_axis(full, lo[:, None] + np.arange(width), 1))
+
     def test_endpoint_rows(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

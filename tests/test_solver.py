@@ -380,6 +380,27 @@ class TestSweepCapacity:
         assert reports[7].iterations == 1
         assert reports[7].converged
 
+    def test_warm_step_crosses_a_centre_atom_birth(self, solved, monkeypatch):
+        # the n = 8 optimum has 4 atoms and the n = 9 one a centre atom too:
+        # the polish from n = 8 does not certify at 9, so the escape atom at
+        # 1/2 goes in and a second polish certifies, with no cold solve
+        seed = solver._seed_support
+        seeded = []
+
+        def spy_seed(spec):
+            seeded.append(spec.n)
+            return seed(spec)
+
+        monkeypatch.setattr(solver, "_seed_support", spy_seed)
+        reports = list(solver.sweep_capacity(9))
+        assert seeded == [2]
+        assert [r.support_size for r in reports[7:]] == [4, 5]
+        assert [r.iterations for r in reports[2:]] == [1] * 6 + [2]
+        report = reports[8]
+        assert report.converged and report.kkt_slack <= 1e-12
+        assert 0.5 in report.input.points
+        assert abs(report.capacity_nats - solved(9).capacity_nats) <= 1e-12
+
 
 class TestKktVerify:
     def test_certifies_known_optimum(self, table_dists):
