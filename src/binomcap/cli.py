@@ -9,6 +9,7 @@ stderr summary in bits without touching the payload.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -249,9 +250,13 @@ _COMMANDS = {
 }
 
 
+# The parser of `main`, built on its first call and reused: building it
+# costs about 20 times a parse, and parse_args leaves it unchanged.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:

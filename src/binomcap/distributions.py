@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp, xlogy
+from scipy.special import xlogy
 
 from .kernel import ChannelSpec, log_binom_coeffs, log_pmf_matrix
 
@@ -91,6 +91,23 @@ class OutputPmf:
         object.__setattr__(self, "n", n)
 
 
+def _logsumexp(a: np.ndarray) -> np.ndarray:
+    """log sum exp(a) over the last axis, bit for bit what
+    scipy.special.logsumexp(a, axis=-1) returns for inputs without NaN or
+    +inf, without its array-API dispatch.  Every maximum of a row leaves the
+    shifted sum s and is counted in m, and the result is
+    log1p(s / m) + log(m) + max, so rows that tie (a symmetric input at
+    y = n/2) round as scipy's do.  A row of -inf gives -inf."""
+    top = a.max(axis=-1, keepdims=True)
+    at_top = a == top
+    with np.errstate(invalid="ignore"):  # -inf - -inf in a row of -inf
+        shifted = np.exp(a - top)
+    np.copyto(shifted, 0.0, where=at_top)
+    m = at_top.sum(axis=-1, keepdims=True, dtype=float)
+    out = np.log1p(shifted.sum(axis=-1, keepdims=True) / m) + np.log(m) + top
+    return out[..., 0][()]
+
+
 def log_output_pmf(dist: DiscreteInput, spec: ChannelSpec) -> np.ndarray:
     """Log of the induced output pmf, accumulated with log-sum-exp per output."""
     n = spec.n
@@ -98,7 +115,7 @@ def log_output_pmf(dist: DiscreteInput, spec: ChannelSpec) -> np.ndarray:
     lw = np.log(dist.weights)
     terms = lw[None, :] + xlogy(y[:, None], dist.points[None, :]) \
         + xlogy(n - y[:, None], 1.0 - dist.points[None, :])
-    return log_binom_coeffs(n) + logsumexp(terms, axis=1)
+    return log_binom_coeffs(n) + _logsumexp(terms)
 
 
 def induce_output(dist: DiscreteInput, spec: ChannelSpec) -> OutputPmf:
@@ -127,8 +144,22 @@ def _density_cells(logP: np.ndarray, P: np.ndarray, logq) -> np.ndarray:
     return terms
 
 
+def _row_sums(cells: np.ndarray, start, n: int) -> np.ndarray:
+    """Sums of the rows of cells.  With `start`, row k holds the outputs
+    y = start[k] + arange(w); it is placed in a zeroed row of width n + 1
+    and summed there, so that the sum runs the pairwise-summation tree of
+    the full row."""
+    if start is None:
+        return cells.sum(axis=1)
+    rows = np.zeros((len(cells), n + 1))
+    w = cells.shape[1]
+    for row, a, c in zip(rows, start, cells):
+        row[a:a + w] = c
+    return rows.sum(axis=1)
+
+
 def _info_terms(spec: ChannelSpec, xs: np.ndarray, logP: np.ndarray, P: np.ndarray,
-                logq: np.ndarray, interior=None, second: bool = True):
+                logq: np.ndarray, interior=None, second: bool = True, start=None):
     """Information density rows and, at the rows `interior`, derivatives.
 
     Given the channel rows logP = log P(.|xs), P = exp(logP) and a frozen
@@ -137,22 +168,32 @@ def _info_terms(spec: ChannelSpec, xs: np.ndarray, logP: np.ndarray, P: np.ndarr
     (i, P', i', i'') with, on those rows only, P' = P t for t = d log P / dx,
     i' = sum_y P' (log P - log q) and i'' = sum_y (P'' (log P - log q) + P' t),
     or (i, P', i') with second=False.
+
+    With `start` (from `_row_window`), row k of logP and P holds only the
+    outputs y = start[k] + arange(w), and so does P'; each sum then runs
+    over a zeroed full-width row that holds the window's cells in place.
     """
-    ival = np.sum(_density_cells(logP, P, logq), axis=1)
+    n = spec.n
+    if start is None:
+        y = np.arange(n + 1)
+    else:
+        y = start[:, None] + np.arange(logP.shape[1])
+        logq = logq[y]
+    ival = _row_sums(_density_cells(logP, P, logq), start, n)
     if interior is None:
         return ival
-    n = spec.n
-    y = np.arange(n + 1)
+    if start is not None:
+        y, logq, start = y[interior], logq[interior], start[interior]
     xi = xs[interior][:, None]
     Pi = P[interior]
     t = (y - n * xi) / (xi * (1.0 - xi))
     Pp = Pi * t
     d = logP[interior] - logq
-    ip = np.sum(Pp * d, axis=1)
+    ip = _row_sums(Pp * d, start, n)
     if not second:
         return ival, Pp, ip
     Ppp = Pi * (t * t - y / xi ** 2 - (n - y) / (1.0 - xi) ** 2)
-    return ival, Pp, ip, np.sum(Ppp * d, axis=1) + np.sum(Pp * t, axis=1)
+    return ival, Pp, ip, _row_sums(Ppp * d, start, n) + _row_sums(Pp * t, start, n)
 
 
 # Cells per chunk of the density sweep: a chunk-sized float array is then at
@@ -167,12 +208,13 @@ _CHUNK_CELLS = 50_000
 # then at most e^-60 (60 + |log q(y)|), below the last bit of an i of order 1.
 _WINDOW_NATS = 60.0
 
-# Share of the row above which a chunk takes the full-row sweep.  The windowed
-# one computes logP, P and the cells on the window alone but still zeroes,
-# fills and sums full-width rows.  On the widest (centre) rows, one OpenBLAS
-# thread of a 2-vCPU VM, it took 2.0 times the full-row time at n = 128
-# (window 99 % of the row), 1.4 at 256 (86 %), about 1 from 400 to 600
-# (66 % to 52 %), 0.8 at 768 (45 %), 0.6 at 1024 (38 %) and 0.3 at 4096
+# Share of the row above which rows are taken in full (a chunk of the
+# density sweep, a round of peak refinement).  The windowed rows compute
+# logP, P and the cells on the window alone but still zero, fill and sum
+# full-width rows.  On the widest (centre) rows of the density sweep, one
+# OpenBLAS thread of a 2-vCPU VM, they took 2.0 times the full-row time at
+# n = 128 (window 99 % of the row), 1.4 at 256 (86 %), about 1 from 400 to
+# 600 (66 % to 52 %), 0.8 at 768 (45 %), 0.6 at 1024 (38 %) and 0.3 at 4096
 # (18 %).  On the certificate grid every chunk is summed in full below
 # n = 249 and every chunk on its window from n = 647.
 _WINDOW_CUT = 0.5
@@ -185,6 +227,17 @@ def _bernstein_window(n: int, xs: np.ndarray):
     t = T / 3 + np.sqrt(T * T / 9 + 2 * T * n * xs * (1.0 - xs))
     return (np.maximum(np.floor(n * xs - t), 0).astype(int),
             np.minimum(np.ceil(n * xs + t), n).astype(int))
+
+
+def _row_window(n: int, lo: np.ndarray, hi: np.ndarray):
+    """(start, w): rows whose Bernstein windows are lo..hi take the outputs
+    y = start + arange(w), w the widest window among them, each start moved
+    in so the window stays within 0..n; (None, 0), the full rows, where w
+    exceeds _WINDOW_CUT of the row."""
+    w = int((hi - lo).max()) + 1
+    if w > _WINDOW_CUT * (n + 1):
+        return None, 0
+    return np.minimum(lo, n + 1 - w), w
 
 
 def _info_density_against_logq(spec: ChannelSpec, xs, logq: np.ndarray) -> np.ndarray:
@@ -206,18 +259,9 @@ def _info_density_against_logq(spec: ChannelSpec, xs, logq: np.ndarray) -> np.nd
     step = max(1, _CHUNK_CELLS // (n + 1))
     for s in range(0, len(xs), step):
         x = xs[s:s + step]
-        w = int((hi[s:s + step] - lo[s:s + step]).max()) + 1
-        if w > _WINDOW_CUT * (n + 1):
-            logP = log_pmf_matrix(spec, x)
-            out[s:s + step] = _info_terms(spec, x, logP, np.exp(logP), logq)
-            continue
-        start = np.minimum(lo[s:s + step], n + 1 - w)
+        start, w = _row_window(n, lo[s:s + step], hi[s:s + step])
         logP = log_pmf_matrix(spec, x, start, w)
-        cells = _density_cells(logP, np.exp(logP), logq[start[:, None] + np.arange(w)])
-        rows = np.zeros((len(x), n + 1))
-        for row, a, c in zip(rows, start, cells):
-            row[a:a + w] = c
-        out[s:s + step] = rows.sum(axis=1)
+        out[s:s + step] = _info_terms(spec, x, logP, np.exp(logP), logq, start=start)
     return out
 
 
@@ -247,7 +291,7 @@ def log_mixed_moments(dist: DiscreteInput, a, b) -> np.ndarray:
     b = np.asarray(b, dtype=float)
     lw = np.log(dist.weights)
     terms = lw + xlogy(a[..., None], dist.points) + xlogy(b[..., None], 1.0 - dist.points)
-    return logsumexp(terms, axis=-1)
+    return _logsumexp(terms)
 
 
 def log_posterior_mean_pair(dist: DiscreteInput, spec: ChannelSpec):

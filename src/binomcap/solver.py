@@ -37,8 +37,10 @@ from .distributions import (
     DiscreteInput,
     OutputPmf,
     log_output_pmf,
+    _bernstein_window,
     _info_density_against_logq,
     _info_terms,
+    _row_window,
 )
 from .kernel import ChannelSpec, log_pmf_matrix
 
@@ -287,11 +289,19 @@ def _kkt_residual(spec: ChannelSpec, h: np.ndarray, v: np.ndarray, C: float,
         gpp = (ipp[-1] - 2.0 * gp) / (4.0 * d * d)
     else:
         Rs, gp, gpp = _centre_terms(spec, P[-1], logP[-1] - logq)
+    centre, s_row = _centre_row(spec, h, gp, s_row)
+    F = np.concatenate([ival - C, ip[:-1], [centre, v.sum() - 1.0]])
+    return F, ival, (P, R, q, Pp[:-1], ip[:-1], ipp[:-1], Rs, gp, gpp, s_row)
+
+
+def _centre_row(spec: ChannelSpec, h: np.ndarray, gp: float, s_row: bool | None):
+    """(row, s_row): the centre row of `_kkt_residual`, n^2 s if s_row else
+    -g'(s), where s_row = None takes the smaller of the two."""
+    d = 0.5 - h[-1]
     ns = spec.n ** 2 * d * d
     if s_row is None:
         s_row = ns <= -gp
-    F = np.concatenate([ival - C, ip[:-1], [ns if s_row else -gp, v.sum() - 1.0]])
-    return F, ival, (P, R, q, Pp[:-1], ip[:-1], ipp[:-1], Rs, gp, gpp, s_row)
+    return (ns if s_row else -gp), s_row
 
 
 def _kkt_system(spec: ChannelSpec, h: np.ndarray, v: np.ndarray, terms) -> np.ndarray:
@@ -357,14 +367,19 @@ def _kkt_newton(spec: ChannelSpec, h0: np.ndarray, v0: np.ndarray,
     K = len(h0)
     if K < 2:
         return h0.copy(), v0.copy(), "ok", 0.0
-    F, ival, terms = _kkt_residual(spec, h0, v0, 0.0)
-    if F is None:
+    F0, ival, terms0 = _kkt_residual(spec, h0, v0, 0.0)
+    if F0 is None:
         return h0.copy(), v0.copy(), "stall", np.inf
     best = None
     damped = (1.0, 0.5, 0.25, 0.1, 0.03, 0.01, 0.003)
-    for s_row, damps in ((terms[-1], damped), (not terms[-1], damped), (terms[-1], (1.0,))):
+    *_, gp0, _, smaller = terms0
+    for s_row, damps in ((smaller, damped), (not smaller, damped), (smaller, (1.0,))):
+        # the residual at the start, on this branch: only C and the centre row change
         h, v, C, s = h0, v0, float(v0 @ ival), (0.5 - h0[-1]) ** 2
-        F, ival, terms = _kkt_residual(spec, h, v, C, s_row)
+        F = F0.copy()
+        F[:K] = ival - C
+        F[-2] = _centre_row(spec, h0, gp0, s_row)[0]
+        terms = (*terms0[:-1], s_row)
         info = _information(v, ival)
         seen = []
         for _ in range(max_iter):
@@ -393,7 +408,10 @@ def _kkt_newton(spec: ChannelSpec, h0: np.ndarray, v0: np.ndarray,
             else:
                 break
             h, v, s, C, F, terms, info = nh, nv, ns, nC, F2, terms2, info2
-        fn = float(np.abs(_kkt_residual(spec, h, v, C)[0]).max())
+        # the residual at (h, v, C) on the smaller centre branch
+        *_, gp, _, _ = terms
+        F[-2] = _centre_row(spec, h, gp, None)[0]
+        fn = float(np.abs(F).max())
         if best is None or fn < best[2]:
             best = h, v, fn
         if fn <= 1e-10:
@@ -506,16 +524,26 @@ def _refine_peaks(spec: ChannelSpec, logq: np.ndarray, x: np.ndarray,
     step on i' where i'' < 0 and the step stays in the bracket, else
     bisection, the bracket shrinking by the sign of i'.  `best` holds i at
     x; returns the point of each bracket with the largest i evaluated, and
-    that i.  Overwrites x, lo, hi and best."""
+    that i.  Overwrites x, lo, hi and best.
+
+    Where even the centre row's Bernstein window is narrow (n >= 643), each
+    round takes its rows on their windows as the density sweep does, and
+    its sums are the full-row ones bit for bit (the tests check this at
+    n = 1024 and 4096).  Below that the rows are full: a round of edge
+    peaks alone could take windows, but finding them (about 20 us a round)
+    cost more than it saved at n = 256 to 512."""
     at = x.copy()
     todo = np.arange(len(x))
+    n = spec.n
+    windowed = _row_window(n, *_bernstein_window(n, 0.5))[0] is not None
     for _ in range(100):
         if not len(todo):
             break
         xt = x[todo]
-        logP = log_pmf_matrix(spec, xt)
+        start, w = _row_window(n, *_bernstein_window(n, xt)) if windowed else (None, 0)
+        logP = log_pmf_matrix(spec, xt, start, w)
         ival, _, ip, ipp = _info_terms(spec, xt, logP, np.exp(logP), logq,
-                                       np.arange(len(xt)))
+                                       np.arange(len(xt)), start=start)
         up = ival > best[todo]
         best[todo[up]], at[todo[up]] = ival[up], xt[up]
         lo[todo] = np.where(ip > 0.0, xt, lo[todo])

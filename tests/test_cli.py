@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from binomcap import cli
 from binomcap.cli import main
 
 
@@ -249,3 +250,53 @@ class TestEntropyBoundsCommand:
         assert code == 2
         assert out == ""
         assert "--points must be >= 1" in err
+
+
+class TestRepeatedCalls:
+    """main() builds its parser once per process; nothing of one call may
+    reach the next."""
+
+    def test_parser_built_once(self, capsys):
+        cli._parser.cache_clear()
+        run_cli(capsys, "table")
+        run_cli(capsys, "bounds", "--n", "3")
+        info = cli._parser.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert cli.build_parser() is not cli.build_parser()
+
+    def test_bits_then_none(self, capsys):
+        _, _, err = run_cli(capsys, "solve", "--n", "1", "--bits")
+        assert "bits" in err
+        _, _, err = run_cli(capsys, "solve", "--n", "1")
+        assert err == ""
+
+    def test_output_then_stdout(self, capsys, tmp_path):
+        target = tmp_path / "bounds.json"
+        code, out, _ = run_cli(capsys, "bounds", "--n", "5", "--output", str(target))
+        assert code == 0 and out == ""
+        code, out, _ = run_cli(capsys, "bounds", "--n", "5")
+        assert code == 0 and out == target.read_text()
+
+    def test_kkt_tol_then_default(self, capsys, tmp_path):
+        # the n = 2 optimum, 3e-7 of mass moved to the centre: slack 3.2e-7
+        dist = tmp_path / "dist.json"
+        e = 3e-7
+        dist.write_text(json.dumps({"points": [0.0, 0.5, 1.0],
+                                    "weights": [15 / 34 - e, 2 / 17 + 2 * e, 15 / 34 - e]}))
+        argv = ("verify", "--n", "2", "--dist", str(dist))
+        _, default, _ = run_cli(capsys, *argv)
+        _, loose, _ = run_cli(capsys, *argv, "--kkt-tol", "1e-6")
+        _, again, _ = run_cli(capsys, *argv)
+        assert json.loads(loose)["flags"]["kkt_inequality"] is True
+        assert json.loads(default)["flags"]["kkt_inequality"] is False
+        assert again == default
+
+    def test_interleaved_commands(self, capsys, tmp_path):
+        dist = tmp_path / "dist.json"
+        dist.write_text(json.dumps({"points": [0.0, 0.5, 1.0],
+                                    "weights": [15 / 34, 2 / 17, 15 / 34]}))
+        calls = [("solve", "--n", "3"), ("verify", "--n", "2", "--dist", str(dist)),
+                 ("sweep", "--n-max", "3")]
+        first = [run_cli(capsys, *argv) for argv in calls]
+        again = [run_cli(capsys, *argv) for argv in calls[::-1] + calls]
+        assert again == first[::-1] + first

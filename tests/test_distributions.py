@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.special import xlog1py, xlogy
+from scipy.special import logsumexp, xlog1py, xlogy
 
 from binomcap import (
     ChannelSpec,
@@ -25,6 +25,7 @@ from binomcap.distributions import (
     _bernstein_window,
     _info_density_against_logq,
     _info_terms,
+    _logsumexp,
     log_output_pmf,
 )
 from binomcap.kernel import log_binom_coeffs, log_pmf_matrix
@@ -110,6 +111,46 @@ class TestInduceOutput:
             OutputPmf(np.array([0.5, 0.6]), 1)
         with pytest.raises(ValueError):
             OutputPmf(np.array([0.5, 0.5]), 2)
+
+
+
+def output_terms(dist, n):
+    """The (n + 1) x K terms log w + log P(y|x_k) - log C(n, y) that
+    log_output_pmf combines over the atoms."""
+    y = np.arange(n + 1)[:, None]
+    return np.log(dist.weights) + xlogy(y, dist.points) + xlogy(n - y, 1.0 - dist.points)
+
+
+@pytest.mark.filterwarnings("error")
+class TestLogSumExp:
+    @pytest.mark.parametrize("n", [1, 2, 5, 64, 256, 4096])
+    def test_scipy_bit_for_bit_on_symmetric_inputs(self, n, rng):
+        # a symmetric input ties the largest terms at y = n/2 (n even)
+        for _ in range(20):
+            half = np.sort(rng.uniform(0.02, 0.48, rng.integers(1, 5)))
+            centre = [0.5] if rng.integers(0, 2) else []
+            pts = np.array([0.0, *half, *centre, *(1.0 - half[::-1]), 1.0])
+            w = rng.uniform(0.5, 1.5, len(half) + 1 + len(centre))
+            w = np.concatenate([w, w[:len(half) + 1][::-1]])
+            terms = output_terms(DiscreteInput(pts, w / w.sum()), n)
+            assert np.array_equal(_logsumexp(terms), logsumexp(terms, axis=1))
+
+    @pytest.mark.parametrize("pts,w", [([0.0, 1.0], [0.5, 0.5]),
+                                       ([0.0, 0.3, 1.0], [0.2, 0.5, 0.3]),
+                                       ([0.0], [1.0])],
+                             ids=["endpoints", "endpoints-and-interior", "one-atom-at-0"])
+    @pytest.mark.parametrize("n", [1, 4, 100])
+    def test_scipy_bit_for_bit_with_endpoint_atoms(self, pts, w, n):
+        terms = output_terms(DiscreteInput(pts, w), n)
+        got = _logsumexp(terms)
+        assert np.array_equal(got, logsumexp(terms, axis=1))
+        if len(pts) == 1:  # only y = 0 has mass; every other row is all -inf
+            assert got[0] == 0.0 and np.all(got[1:] == -np.inf)
+
+    def test_scalar_rows_as_scipy(self, rng):
+        terms = rng.normal(size=5)
+        got = _logsumexp(terms)
+        assert np.ndim(got) == 0 and got == logsumexp(terms, axis=-1)
 
 
 class TestKlDivergence:

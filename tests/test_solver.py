@@ -475,6 +475,27 @@ class TestCertificate:
         assert list(new) == [0.35]
         assert len(solver._escape_candidates(peak_x, peak_i, 0.0, pts, 1e-6)) == 0
 
+    @pytest.mark.parametrize("n", [1024, 4096])
+    def test_refined_peaks_on_the_window_are_the_full_row_ones(self, n, monkeypatch):
+        spec = ChannelSpec(n)
+        rng = np.random.default_rng(n + 1)
+        widths = []
+        window = solver._row_window
+
+        def spy(n, lo, hi):
+            start, w = window(n, lo, hi)
+            widths.append(w)
+            return start, w
+
+        for _ in range(5):
+            dist = _random_symmetric_input(rng)
+            monkeypatch.setattr(solver, "_row_window", spy)
+            _, x, i, _ = solver._certify(dist, spec, 1e-8)
+            monkeypatch.setattr(solver, "_row_window", lambda n, lo, hi: (None, 0))
+            _, full_x, full_i, _ = solver._certify(dist, spec, 1e-8)
+            assert np.array_equal(x, full_x) and np.array_equal(i, full_i)
+        assert min(widths) > 0  # every refinement round ran on the window
+
     # the refined peaks must see at least what the 20490-point uniform sweep
     # saw, up to rounding of i (relative: slacks reach hundreds of nats)
     @pytest.mark.parametrize("kind,n", [("solved", 2), ("solved", 10), ("solved", 75),
