@@ -17,6 +17,7 @@ import numpy as np
 from scipy.special import xlogy
 
 from .kernel import ChannelSpec, pmf_row
+from .serialize import csv_text
 from .solver import SolveReport
 
 _LOG2 = math.log(2.0)
@@ -195,30 +196,15 @@ def bounds_report(n: int, capacity_nats: float | None = None) -> BoundsReport:
 
 def sweep_csv(rows: list[dict]) -> str:
     """CSV for capacity sweeps: one row per n with bounds and diagnostics."""
-    header = ("n,cap_lower,capacity_nats,cap_upper,support_size,"
-              "kkt_slack,card_lower,card_upper")
-    lines = [header]
-    for r in rows:
-        lines.append(",".join([
-            str(r["n"]),
-            format(r["cap_lower"], ".17g"),
-            format(r["capacity_nats"], ".17g"),
-            format(r["cap_upper"], ".17g"),
-            str(r["support_size"]),
-            format(r["kkt_slack"], ".17g"),
-            format(r["card_lower"], ".17g"),
-            str(r["card_upper"]),
-        ]))
-    return "\n".join(lines) + "\n"
+    cols = ("n", "cap_lower", "capacity_nats", "cap_upper", "support_size",
+            "kkt_slack", "card_lower", "card_upper")
+    return csv_text(cols, ([r[c] for c in cols] for r in rows))
 
 
 def crest_bound_csv(n: int, grid_size: int = 1001) -> str:
     """CSV of the two crest-factor lower bounds on an interior grid."""
     xs = np.linspace(0.0, 1.0, grid_size + 2)[1:-1]
-    lines = ["x,lower_endpoints,lower_mirror"]
-    for x in xs:
-        lb1 = crest_factor_lower_endpoints(n, float(x))
-        lb2 = crest_factor_lower_mirror(n, float(x)) if x != 0.5 else float("nan")
-        s2 = "" if math.isnan(lb2) else format(lb2, ".17g")
-        lines.append(f"{x:.17g},{lb1:.17g},{s2}")
-    return "\n".join(lines) + "\n"
+    return csv_text(("x", "lower_endpoints", "lower_mirror"), (
+        (x, crest_factor_lower_endpoints(n, float(x)),
+         crest_factor_lower_mirror(n, float(x)) if x != 0.5 else float("nan"))
+        for x in xs))

@@ -23,7 +23,7 @@ from .distributions import DiscreteInput
 from .kernel import ChannelSpec, binomial_entropy_exact, binomial_entropy_lower, \
     binomial_entropy_upper
 from .oracles import exact_solution
-from .serialize import atomic_write, dumps, format_real
+from .serialize import atomic_write, csv_text, dumps, format_real
 from .solver import SolverConfig, report_for_distribution, solve_capacity
 
 _LN2 = float(np.log(2.0))
@@ -142,17 +142,11 @@ def _cmd_bounds(args) -> int:
     if args.n_max is not None and args.n_max < 1:
         raise ValueError("--n-max must be >= 1")
     ns = [args.n] if args.n is not None else list(range(1, args.n_max + 1))
-    reports = [bounds_mod.bounds_report(n) for n in ns]
+    rows = [bounds_mod.bounds_report(n).to_dict() for n in ns]
     if args.format == "json":
-        _emit(args, dumps([r.to_dict() for r in reports]) + "\n")
+        _emit(args, dumps(rows) + "\n")
     else:
-        lines = ["n,cap_lower,cap_upper,card_lower,card_upper,witsenhausen"]
-        for r in reports:
-            lines.append(",".join([
-                str(r.n), format_real(r.cap_lower), format_real(r.cap_upper),
-                format_real(r.card_lower), str(r.card_upper), str(r.witsenhausen),
-            ]))
-        _emit(args, "\n".join(lines) + "\n")
+        _emit(args, csv_text(rows[0].keys(), (r.values() for r in rows)))
     return 0
 
 
@@ -183,20 +177,11 @@ def _cmd_sweep(args) -> int:
     rows = []
     all_converged = True
     for report in solver.sweep_capacity(args.n_max, config):
-        n = report.n
         all_converged &= report.converged
-        card_lo, card_hi = bounds_mod.cardinality_bounds(n, max(report.capacity_nats, 0.0))
-        rows.append({
-            "n": n,
-            "cap_lower": bounds_mod.capacity_lower_bound(n),
-            "capacity_nats": report.capacity_nats,
-            "cap_upper": bounds_mod.capacity_upper_bound(n),
-            "support_size": report.support_size,
-            "kkt_slack": report.kkt_slack,
-            "card_lower": card_lo,
-            "card_upper": card_hi,
-        })
-        _bits_note(args, report.capacity_nats, n)
+        bounds = bounds_mod.bounds_report(report.n, max(report.capacity_nats, 0.0))
+        rows.append({**bounds.to_dict(), "capacity_nats": report.capacity_nats,
+                     "support_size": report.support_size, "kkt_slack": report.kkt_slack})
+        _bits_note(args, report.capacity_nats, report.n)
     _emit(args, bounds_mod.sweep_csv(rows))
     return 0 if all_converged else 3
 
@@ -227,15 +212,9 @@ def _cmd_entropy_bounds(args) -> int:
         raise ValueError("--points must be >= 1")
     spec = ChannelSpec(args.n)
     xs = np.linspace(0.0, 1.0, args.points)
-    lines = ["x,lower,exact,upper"]
-    for x in xs:
-        lines.append(",".join([
-            format_real(float(x)),
-            format_real(binomial_entropy_lower(spec, float(x))),
-            format_real(binomial_entropy_exact(spec, float(x))),
-            format_real(binomial_entropy_upper(spec, float(x))),
-        ]))
-    _emit(args, "\n".join(lines) + "\n")
+    _emit(args, csv_text(("x", "lower", "exact", "upper"), (
+        (x, binomial_entropy_lower(spec, x), binomial_entropy_exact(spec, x),
+         binomial_entropy_upper(spec, x)) for x in map(float, xs))))
     return 0
 
 

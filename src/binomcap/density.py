@@ -27,6 +27,7 @@ from .distributions import (
     _info_density_against_logq,
 )
 from .kernel import ChannelSpec, log_pmf_matrix
+from .serialize import csv_text
 
 
 def bregman_binomial(x: float, xhat: float) -> float:
@@ -145,12 +146,8 @@ class DensityCurve:
     d2: np.ndarray
 
     def to_csv(self) -> str:
-        lines = ["x,info_density,first_derivative,second_derivative"]
-        for x, v, a, b in zip(self.grid, self.values, self.d1, self.d2):
-            sa = "" if math.isnan(a) else format(a, ".17g")
-            sb = "" if math.isnan(b) else format(b, ".17g")
-            lines.append(f"{x:.17g},{v:.17g},{sa},{sb}")
-        return "\n".join(lines) + "\n"
+        return csv_text(("x", "info_density", "first_derivative", "second_derivative"),
+                        zip(self.grid, self.values, self.d1, self.d2))
 
 
 def density_curve(dist: DiscreteInput, spec: ChannelSpec, grid_size: int = 1001) -> DensityCurve:

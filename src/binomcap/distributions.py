@@ -64,10 +64,16 @@ class DiscreteInput:
 
     @classmethod
     def from_dict(cls, d: dict) -> "DiscreteInput":
+        if not isinstance(d, dict):
+            raise ValueError(f"input distribution JSON must be an object, not {type(d).__name__}")
         pts = d.get("points", d.get("support"))
         if pts is None or "weights" not in d:
             raise ValueError('input distribution JSON needs "points" (or "support") and "weights"')
-        return cls(np.asarray(pts, dtype=float), np.asarray(d["weights"], dtype=float))
+        try:
+            pts, wts = np.asarray(pts, dtype=float), np.asarray(d["weights"], dtype=float)
+        except TypeError as exc:
+            raise ValueError(f"points and weights must be lists of numbers: {exc}") from None
+        return cls(pts, wts)
 
 
 @dataclass(frozen=True)
@@ -109,13 +115,9 @@ def _logsumexp(a: np.ndarray) -> np.ndarray:
 
 
 def log_output_pmf(dist: DiscreteInput, spec: ChannelSpec) -> np.ndarray:
-    """Log of the induced output pmf, accumulated with log-sum-exp per output."""
-    n = spec.n
-    y = np.arange(n + 1)
-    lw = np.log(dist.weights)
-    terms = lw[None, :] + xlogy(y[:, None], dist.points[None, :]) \
-        + xlogy(n - y[:, None], 1.0 - dist.points[None, :])
-    return log_binom_coeffs(n) + _logsumexp(terms)
+    """Log of the induced output pmf, log C(n, y) + log E[X^y (1-X)^(n-y)]."""
+    y = np.arange(spec.n + 1)
+    return log_binom_coeffs(spec.n) + log_mixed_moments(dist, y, spec.n - y)
 
 
 def induce_output(dist: DiscreteInput, spec: ChannelSpec) -> OutputPmf:

@@ -97,9 +97,7 @@ def log_pmf(spec: ChannelSpec, y: int, x: float) -> float:
         raise ValueError("y must be an integer")
     if not 0 <= y <= spec.n:
         raise ValueError(f"y must be in [0, {spec.n}], got {y}")
-    x = _check_x(x)
-    n = spec.n
-    return float(log_binom_coeffs(n)[y] + xlogy(y, x) + xlog1py(n - y, -x))
+    return float(log_pmf_matrix(spec, _check_x(x))[0, y])
 
 
 def pmf_row(spec: ChannelSpec, x: float) -> np.ndarray:

@@ -41,6 +41,20 @@ def dumps(obj, indent: int = 0) -> str:
     return pad + json.dumps(obj)
 
 
+def _csv_cell(x) -> str:
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    return "" if math.isnan(x) else format(x, ".17g")
+
+
+def csv_text(header, rows) -> str:
+    """CSV with the column names `header` and one line per row of cells:
+    integers as they are, reals in 17 significant digits (so inf stays inf)
+    and NaN as an empty cell."""
+    lines = [",".join(header), *(",".join(map(_csv_cell, row)) for row in rows)]
+    return "\n".join(lines) + "\n"
+
+
 def atomic_write(path: str, text: str) -> None:
     """Write via a temporary file and rename, so readers never see partials."""
     directory = os.path.dirname(os.path.abspath(path))

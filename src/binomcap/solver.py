@@ -62,7 +62,7 @@ class SolverConfig:
     max_outer_iters: int = 200
 
     def __post_init__(self):
-        if self.kkt_tol <= 0:
+        if not self.kkt_tol > 0:
             raise ValueError("kkt_tol must be positive")
         if self.max_outer_iters < 1:
             raise ValueError("max_outer_iters must be at least 1")
@@ -192,14 +192,14 @@ def blahut_arimoto(spec: ChannelSpec, grid, tol: float,
 # half supports: atoms 0 = h_0 < ... <= 1/2, one mass per orbit {h, 1 - h}
 # ---------------------------------------------------------------------------
 
-def _merge_half(h: np.ndarray, v: np.ndarray, radius: float):
-    """Greedy left-to-right merge of the sorted half-support atoms closer
-    than radius: the first atom stays on 0, others within radius of 1/2 snap
+def _merge_half(h: np.ndarray, v: np.ndarray):
+    """Greedy left-to-right merge of the sorted half-support atoms at most
+    _MERGE_RADIUS apart: the first atom stays on 0, others that near 1/2 snap
     onto it; renormalized."""
     order = np.argsort(h, kind="stable")
     out_h, out_v = [h[order[0]]], [v[order[0]]]
     for p, w in zip(h[order[1:]], v[order[1:]]):
-        if p - out_h[-1] <= radius:
+        if p - out_h[-1] <= _MERGE_RADIUS:
             tw = out_v[-1] + w
             out_h[-1] = (out_h[-1] * out_v[-1] + p * w) / tw
             out_v[-1] = tw
@@ -208,7 +208,7 @@ def _merge_half(h: np.ndarray, v: np.ndarray, radius: float):
             out_v.append(w)
     h, v = np.asarray(out_h), np.asarray(out_v)
     h[0] = 0.0
-    h[1:][0.5 - h[1:] <= radius] = 0.5
+    h[1:][0.5 - h[1:] <= _MERGE_RADIUS] = 0.5
     return h, v / v.sum()
 
 
@@ -235,7 +235,7 @@ def _seed_support(spec: ChannelSpec):
     K = max(3, int(_SEED_ATOMS_PER_ROOT_N * math.sqrt(spec.n)))
     x = 0.5 - 0.5 * np.cos(np.linspace(0.0, math.pi, K))  # sin^2 theta
     h = x[x <= 0.5]
-    return _merge_half(h, np.ones(len(h)), _MERGE_RADIUS)
+    return _merge_half(h, np.ones(len(h)))
 
 
 # ---------------------------------------------------------------------------
@@ -349,8 +349,7 @@ def _information(v: np.ndarray, ival: np.ndarray) -> float:
     return float(v @ ival) / total + math.log(total)
 
 
-def _kkt_newton(spec: ChannelSpec, h0: np.ndarray, v0: np.ndarray,
-                max_iter: int = 60, tol: float = 1e-13):
+def _kkt_newton(spec: ChannelSpec, h0: np.ndarray, v0: np.ndarray):
     """Damped semismooth Newton on the stationarity system.
 
     Returns (h, v, status, residual): 'ok' (solved, all masses positive),
@@ -358,7 +357,7 @@ def _kkt_newton(spec: ChannelSpec, h0: np.ndarray, v0: np.ndarray,
     atoms of h_int stay between the midpoints to their neighbours, the
     centre orbit between that midpoint and 1/2.  A run keeps the centre
     row's branch that its start selects and takes a damped step if it lowers
-    the largest residual or raises I; it stops below tol or once the
+    the largest residual or raises I; it stops below 1e-13 or once the
     residual has not halved in ten steps.  If it leaves the system unsolved
     (above 1e-10), a second run from the start takes the other branch and a
     third the start's branch in full steps, which both tests can reject in
@@ -382,9 +381,9 @@ def _kkt_newton(spec: ChannelSpec, h0: np.ndarray, v0: np.ndarray,
         terms = (*terms0[:-1], s_row)
         info = _information(v, ival)
         seen = []
-        for _ in range(max_iter):
+        for _ in range(60):
             seen.append(fn := float(np.abs(F).max()))
-            if fn <= tol or len(seen) > 10 and fn > 0.5 * seen[-11]:
+            if fn <= 1e-13 or len(seen) > 10 and fn > 0.5 * seen[-11]:
                 break
             J = _kkt_system(spec, h, v, terms)
             try:
@@ -466,7 +465,7 @@ def _clean_structure(h, v, drop_w: float):
     """Prune near-dead orbits (never the endpoint one) and merge collisions."""
     keep = v > drop_w
     keep[0] = True
-    nh, nv = _merge_half(h[keep], v[keep], _MERGE_RADIUS)
+    nh, nv = _merge_half(h[keep], v[keep])
     # snapping an atom onto 1/2 alone is no change of structure
     return nh, nv, len(nh) != len(h)
 
@@ -642,7 +641,7 @@ def report_for_distribution(dist: DiscreteInput, spec: ChannelSpec, tol: float =
                             iterations: int = 0, converged: bool | None = None) -> SolveReport:
     """Build a SolveReport around an externally supplied distribution."""
     summary, _, _, logq = _certify(dist, spec, tol)
-    ok = _certified(summary, tol) if converged is None else converged
+    ok = summary.flags["kkt_equality"] if converged is None else converged
     return _report(spec, dist, summary, logq, iterations, ok)
 
 
@@ -702,21 +701,16 @@ def sweep_capacity(n_max: int, config: SolverConfig | None = None):
         spec = ChannelSpec(n)
         if half is not None:
             step, iterations = _polish_certify(spec, *half, tol), 1
-            grown = None if _certified(step[3], tol) else _with_escape_atom(step, tol)
+            grown = None if step[3].flags["kkt_equality"] else _with_escape_atom(step, tol)
             if grown is not None:
                 step, iterations = _polish_certify(spec, *grown, tol), 2
             h, v, dist, summary, _, _, logq = step
-            if _certified(summary, tol):
+            if summary.flags["kkt_equality"]:
                 half = h, v
                 yield _report(spec, dist, summary, logq, iterations, converged=True)
                 continue
         report, half = _solve(spec, config)
         yield report
-
-
-def _certified(summary: KktSummary, tol: float) -> bool:
-    """The gate of a certified solve: both KKT conditions hold to tol."""
-    return summary.slack <= tol and summary.equality_defect <= tol
 
 
 def _polish_certify(spec: ChannelSpec, h: np.ndarray, v: np.ndarray, tol: float):
@@ -736,7 +730,7 @@ def _with_escape_atom(step, tol: float):
     new = _escape_candidates(peak_x, peak_i, summary.capacity_nats, dist.points, tol)
     if not len(new):
         return None
-    return _merge_half(np.append(h, new), np.append(v, 1e-3), _MERGE_RADIUS)
+    return _merge_half(np.append(h, new), np.append(v, 1e-3))
 
 
 def _solve(spec: ChannelSpec, config: SolverConfig):
@@ -760,7 +754,7 @@ def _solve(spec: ChannelSpec, config: SolverConfig):
 
         step = _polish_certify(spec, h, v, config.kkt_tol)
         h, v, dist, summary, _, _, logq = step
-        if _certified(summary, config.kkt_tol):
+        if summary.flags["kkt_equality"]:
             return _report(spec, dist, summary, logq, outer, converged=True), (h, v)
         grown = _with_escape_atom(step, config.kkt_tol)
         stall = 0 if grown is not None else stall + 1

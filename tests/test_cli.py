@@ -102,6 +102,13 @@ class TestVerifyCommand:
         code, _, err = run_cli(capsys, "verify", "--n", "2", "--dist", str(dist))
         assert code == 2
         assert "increasing" in err
+        # JSON that is not an object, or whose points are not numbers
+        for payload in ([0, 1], "points", {"points": {"a": 1}, "weights": [1.0]}):
+            dist.write_text(json.dumps(payload))
+            code, out, err = run_cli(capsys, "verify", "--n", "2", "--dist", str(dist))
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error:")
 
     def test_certifies_once(self, capsys, tmp_path, monkeypatch):
         import binomcap.solver
@@ -219,6 +226,18 @@ class TestCurvesCommand:
         assert code == 0
         assert (tmp_path / "curves.density.csv").exists()
         assert (tmp_path / "curves.crest.csv").exists()
+
+    def test_single_trial_crest_cells_are_inf(self, capsys, tmp_path):
+        # at n = 1 the endpoint bound's denominator vanishes on every x
+        prefix = tmp_path / "curves.csv"
+        code, _, _ = run_cli(capsys, "curves", "--n", "1", "--points", "5",
+                             "--output", str(prefix))
+        assert code == 0
+        lines = (tmp_path / "curves.crest.csv").read_text().splitlines()
+        assert lines[0] == "x,lower_endpoints,lower_mirror"
+        rows = [ln.split(",") for ln in lines[1:]]
+        assert len(rows) == 5
+        assert all(r[1] == "inf" for r in rows)
 
     @pytest.mark.parametrize("points", ["0", "1", "2", "-2"])
     def test_rejects_points_below_three(self, capsys, monkeypatch, points):

@@ -35,6 +35,10 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             SolverConfig(kkt_tol=0.0)
 
+    def test_nan_tolerance_rejected(self):
+        with pytest.raises(ValueError):
+            SolverConfig(kkt_tol=float("nan"))
+
 
 class TestBlahutArimoto:
     def test_single_trial_two_points(self):
