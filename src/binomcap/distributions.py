@@ -41,6 +41,8 @@ class DiscreteInput:
             raise ValueError("points and weights must be 1-d arrays of equal length")
         if len(pts) == 0:
             raise ValueError("distribution needs at least one atom")
+        if not (np.all(np.isfinite(pts)) and np.all(np.isfinite(wts))):
+            raise ValueError("points and weights must be finite numbers")
         if np.any(pts < 0.0) or np.any(pts > 1.0):
             raise ValueError("support points must lie in [0, 1]")
         if len(pts) > 1 and np.any(np.diff(pts) <= MIN_ATOM_GAP):
@@ -161,15 +163,14 @@ def _row_sums(cells: np.ndarray, start, n: int) -> np.ndarray:
 
 
 def _info_terms(spec: ChannelSpec, xs: np.ndarray, logP: np.ndarray, P: np.ndarray,
-                logq: np.ndarray, interior=None, second: bool = True, start=None):
+                logq: np.ndarray, interior=None, start=None):
     """Information density rows and, at the rows `interior`, derivatives.
 
     Given the channel rows logP = log P(.|xs), P = exp(logP) and a frozen
     log q, returns i(x) = sum_y P (log P - log q) under the 0 log 0 = 0
     convention; with `interior` (rows with 0 < x < 1) it returns
     (i, P', i', i'') with, on those rows only, P' = P t for t = d log P / dx,
-    i' = sum_y P' (log P - log q) and i'' = sum_y (P'' (log P - log q) + P' t),
-    or (i, P', i') with second=False.
+    i' = sum_y P' (log P - log q) and i'' = sum_y (P'' (log P - log q) + P' t).
 
     With `start` (from `_row_window`), row k of logP and P holds only the
     outputs y = start[k] + arange(w), and so does P'; each sum then runs
@@ -192,8 +193,6 @@ def _info_terms(spec: ChannelSpec, xs: np.ndarray, logP: np.ndarray, P: np.ndarr
     Pp = Pi * t
     d = logP[interior] - logq
     ip = _row_sums(Pp * d, start, n)
-    if not second:
-        return ival, Pp, ip
     Ppp = Pi * (t * t - y / xi ** 2 - (n - y) / (1.0 - xi) ** 2)
     return ival, Pp, ip, _row_sums(Ppp * d, start, n) + _row_sums(Pp * t, start, n)
 

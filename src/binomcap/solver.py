@@ -8,12 +8,13 @@ the mean of P(.|h) and its reverse: one form for the endpoint orbit {0, 1},
 interior pairs and a centre atom.  The solve works in three layers:
 
 1. quantiles of the arcsine (Jeffreys) prior seed about 1.8 sqrt(n) atoms,
-   and Blahut-Arimoto on those atoms sets their masses;
+   and Blahut-Arimoto on those atoms sets their masses, once per solve;
 2. a damped semismooth Newton iteration on the optimality conditions
    polishes masses and positions; the last orbit sits at 1/2 - sqrt(s), so
    one regular unknown covers a centre atom (s = 0) and a pair, and Newton
    splits or merges the centre by itself; negative masses mark orbits to
-   drop, and where Newton stalls a direct ascent of I brings it in range;
+   drop, and where Newton stalls a trust-region Newton ascent of I over the
+   same unknowns, on the same derivatives, brings it in range;
 3. the half support becomes an input on [0, 1] for certification: the
    information density is evaluated on a grid of 4 points per kernel width
    in arcsin sqrt(x), and each local maximum on it is refined by Newton's
@@ -31,7 +32,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .distributions import (
     DiscreteInput,
@@ -359,9 +359,7 @@ def _kkt_newton(spec: ChannelSpec, h0: np.ndarray, v0: np.ndarray):
     row's branch that its start selects and takes a damped step if it lowers
     the largest residual or raises I; it stops below 1e-13 or once the
     residual has not halved in ten steps.  If it leaves the system unsolved
-    (above 1e-10), a second run from the start takes the other branch and a
-    third the start's branch in full steps, which both tests can reject in
-    the flat valley of a pair near the centre (n = 122 and 143).
+    (above 1e-10), a second run from the start takes the other branch.
     """
     K = len(h0)
     if K < 2:
@@ -370,9 +368,8 @@ def _kkt_newton(spec: ChannelSpec, h0: np.ndarray, v0: np.ndarray):
     if F0 is None:
         return h0.copy(), v0.copy(), "stall", np.inf
     best = None
-    damped = (1.0, 0.5, 0.25, 0.1, 0.03, 0.01, 0.003)
     *_, gp0, _, smaller = terms0
-    for s_row, damps in ((smaller, damped), (not smaller, damped), (smaller, (1.0,))):
+    for s_row in (smaller, not smaller):
         # the residual at the start, on this branch: only C and the centre row change
         h, v, C, s = h0, v0, float(v0 @ ival), (0.5 - h0[-1]) ** 2
         F = F0.copy()
@@ -391,7 +388,7 @@ def _kkt_newton(spec: ChannelSpec, h0: np.ndarray, v0: np.ndarray):
             except np.linalg.LinAlgError:
                 step = np.linalg.lstsq(J, -F, rcond=None)[0]
             mid = 0.5 * (h[:-1] + h[1:])
-            for damp in damps:
+            for damp in (1.0, 0.5, 0.25, 0.1, 0.03, 0.01, 0.003):
                 nv = v + damp * step[:K]
                 nh = h.copy()
                 nh[1:-1] = np.clip(h[1:-1] + damp * step[K:2 * K - 2], mid[:-1], mid[1:])
@@ -402,7 +399,7 @@ def _kkt_newton(spec: ChannelSpec, h0: np.ndarray, v0: np.ndarray):
                 if F2 is None:
                     continue
                 info2 = _information(nv, ival2)
-                if np.abs(F2).max() < fn or info2 > info or len(damps) == 1:
+                if np.abs(F2).max() < fn or info2 > info:
                     break
             else:
                 break
@@ -420,50 +417,185 @@ def _kkt_newton(spec: ChannelSpec, h0: np.ndarray, v0: np.ndarray):
     return h, v, status, fn
 
 
+def _ascent_model(spec: ChannelSpec, h: np.ndarray, v: np.ndarray, residual=None):
+    """(I, gradient, Hessian) of I(X; Y) over z = (v, h_int, s) at a half
+    support with sum(v) = 1, or None where some output is starved.
+
+    The gradient is (i(h_k), v_j i'(h_j), v_c g'(s)): the -1 of each mass is
+    constant on sum(v) = 1.  The Hessian is `_kkt_system`'s Jacobian of
+    (i - C, i', -g') at s_row=False less its C column and normalization row,
+    with the rows of i' scaled by v_j and the centre row by -v_c, plus the
+    product-rule terms i'(h_j) at (h_j, v_j) and g' at (s, v_c).  `residual`
+    is `_kkt_residual(spec, h, v, 0.0, s_row=False)` where the caller has it.
+    """
+    _, ival, terms = residual or _kkt_residual(spec, h, v, 0.0, s_row=False)
+    if ival is None:
+        return None
+    K = len(h)
+    H = _kkt_system(spec, h, v, terms)[:-1, :-1]
+    H[K:-1] *= v[1:-1, None]
+    H[-1] *= -v[-1]
+    H[K + np.arange(K - 2), 1 + np.arange(K - 2)] += terms[4]
+    H[-1, K - 1] += terms[7]
+    return float(v @ ival), _ascent_gradient(v, ival, terms), 0.5 * (H + H.T)
+
+
+def _ascent_gradient(v: np.ndarray, ival: np.ndarray, terms) -> np.ndarray:
+    """`_ascent_model`'s gradient from `_kkt_residual`'s i(h_k) and terms."""
+    return np.concatenate([ival, v[1:-1] * terms[4], [v[-1] * terms[7]]])
+
+
+def _trust_region_step(g: np.ndarray, H: np.ndarray, radius: float):
+    """Maximizer p of the model g.p + p.H.p / 2 over |p| <= radius, from the
+    eigenvectors of H (Moré & Sorensen 1983).  Returns (p, model gain,
+    whether p is on the boundary).  In the hard case, g orthogonal to the
+    eigenvectors of the largest eigenvalue of H, p stops inside the ball,
+    an ascent step all the same."""
+    lam, Q = np.linalg.eigh(-H)
+    a = Q.T @ g
+    if not np.any(a):
+        return np.zeros_like(g), 0.0, False
+    if lam[0] > 0.0 and np.sum((a / lam) ** 2) <= radius ** 2:
+        p, boundary = a / lam, False
+    else:
+        # |a / (shift + t)| = radius for a shift t > 0 past max(0, -lam_0),
+        # by safeguarded Newton on 1 / |p(t)|, which is concave and increasing
+        shift = lam + max(0.0, -lam[0])
+        t_lo, t_hi = 0.0, float(np.linalg.norm(a)) / radius
+        t = t_hi
+        for _ in range(60):
+            p = a / (shift + t)
+            norm = float(np.linalg.norm(p))
+            if abs(norm - radius) <= 1e-6 * radius:
+                break
+            if norm > radius:
+                t_lo = t
+            else:
+                t_hi = t
+            t += (norm / radius - 1.0) * norm ** 2 / float(np.sum(p * p / (shift + t)))
+            if not t_lo < t < t_hi:
+                t = 0.5 * (t_lo + t_hi)
+        boundary = True
+    return Q @ p, float(a @ p - 0.5 * (lam * p) @ p), boundary
+
+
+def _sum_zero_basis(k: int) -> np.ndarray:
+    """Orthonormal basis (k x (k - 1)) of the vectors of R^k that sum to 0:
+    the columns 2..k of the Householder reflection that maps e_1 onto the
+    unit vector of ones."""
+    if k < 2:
+        return np.zeros((k, 0))
+    w = np.full(k, 1.0 / math.sqrt(k))
+    w[0] -= 1.0
+    return (np.eye(k) - 2.0 * np.outer(w, w) / (w @ w))[:, 1:]
+
+
+def _hold(held: np.ndarray, stops: np.ndarray, K: int):
+    """Hold the variables `stops` of z = (v, h_int, s) at their bound 0, and
+    the atom of each mass among them."""
+    held[stops] = True
+    masses = stops[stops < K]
+    held[K - 1 + masses[(masses >= 1) & (masses <= K - 2)]] = True
+    held[-1] |= K - 1 in masses
+
+
 def _ascend_information(spec: ChannelSpec, h: np.ndarray, v: np.ndarray):
-    """Directly maximize I over orbit positions and masses (L-BFGS-B).
+    """Directly maximize I over the masses v, the atoms h_int and the centre
+    orbit's s, by a trust-region Newton ascent on `_ascent_model`.
 
     Monotone where the Newton system is singular, near support-splitting
-    transitions.  Masses enter as v >= 0, normalized, so a light orbit's
-    gradient i(h) - I does not vanish with its mass; the atoms of h_int move
-    as h = sigmoid(z), z <= 0, and the centre orbit by n s >= 0.
+    transitions.  sum(v) = 1 is kept on an orthonormal null-space basis; the
+    steps are scaled by 1 for v, the kernel width sqrt(h(1 - h)/n) for h and
+    1/n for s.  A step that would take a mass or s below 0 stops at the bound
+    and holds that variable there (a held mass also holds its atom).  Once
+    the held problem has converged (predicted gain at most 1e-20 max(1, I),
+    an equality defect of about 1e-10, below the 1e-16 rounding of I: steps
+    of gains below 1e-12 are judged on the gradients), the held variables
+    whose multipliers point inwards are released: a mass whose i exceeds the
+    mean i of the free orbits, s where g' > 0.  Returns the half support,
+    sorted, without the orbits left at mass 0 (but always with the endpoint
+    orbit).
     """
     K, n = len(h), spec.n
+    h, v = h.copy(), v / v.sum()
+    s = (0.5 - h[-1]) ** 2
+    model = _ascent_model(spec, h, v)
+    if model is None:
+        return h, v
+    info, g, H = model
+    # held: masses (and the atoms of h_int and s with them) and s at 0
+    held = np.concatenate([v <= 0.0, v[1:-1] <= 0.0, [v[-1] <= 0.0 or s <= 0.0]])
+    radius, moved = 1.0, True
+    for _ in range(1000):
+        free = np.flatnonzero(~held)
+        fv = free[free < K]
+        scale = np.concatenate([np.ones(K), np.sqrt(h[1:-1] * (1.0 - h[1:-1]) / n), [1.0 / n]])
+        M = np.zeros((len(free), len(free) - 1))
+        M[:len(fv), :len(fv) - 1] = _sum_zero_basis(len(fv))
+        M[len(fv):, len(fv) - 1:] = np.eye(len(free) - len(fv))
+        M *= scale[free, None]
+        Hf = H[np.ix_(free, free)]
+        p, gain, boundary = _trust_region_step(M.T @ g[free], M.T @ Hf @ M, radius)
+        if gain <= 1e-20 * max(1.0, info):
+            # the held problem has converged: release the bound variables
+            # whose multipliers point inwards, unless the last release led
+            # nowhere
+            ib = g[fv].mean()
+            wants = held & np.concatenate([g[:K] > ib, g[1:K - 1] > ib,
+                                           [g[-1] > 0.0 if v[-1] > 0.0 else g[K - 1] > ib]])
+            if not moved or not np.any(wants):
+                break
+            held &= ~wants
+            radius, moved = 1.0, False
+            continue
+        dz = M @ p
+        z = np.concatenate([v, h[1:-1], [s]])
+        bounded = np.flatnonzero((free < K) | (free == 2 * K - 2))
+        down = bounded[dz[bounded] < 0.0]
+        ratio = -z[free[down]] / dz[down]
+        alpha = min(1.0, float(ratio.min())) if len(down) else 1.0
+        stops = free[down[ratio <= alpha]] if alpha < 1.0 else np.array([], dtype=int)
+        if alpha <= 0.0:
+            _hold(held, stops, K)
+            continue
+        z[free] += alpha * dz
+        z[stops] = 0.0
+        nv, nh, ns = z[:K] / z[:K].sum(), h.copy(), z[-1]
+        nh[1:-1] = z[K:-1]
+        nh[-1] = 0.5 - math.sqrt(ns)
+        pred = alpha * (g[free] @ dz) + 0.5 * alpha ** 2 * (dz @ Hf @ dz)
+        residual = None
+        if np.all((nh[1:] > 0.0) & (nh[1:] <= 0.5)):
+            residual = _kkt_residual(spec, nh, nv, 0.0, s_row=False)
+        if residual is None or residual[0] is None:
+            rho = -np.inf
+        elif pred > 1e-12 * max(1.0, info):
+            rho = (float(nv @ residual[1]) - info) / pred
+        else:
+            # a gain this small drowns in the rounding of I: take it as the
+            # trapezoid rule on the gradients, exact for a quadratic
+            delta = np.concatenate([nv - v, nh[1:-1] - h[1:-1], [ns - s]])
+            rho = 0.5 * float((g + _ascent_gradient(nv, *residual[1:])) @ delta) / pred
+        step = alpha * float(np.linalg.norm(p))
+        if rho < 0.25:
+            radius = 0.25 * step
+        elif rho > 0.75 and boundary and alpha == 1.0:
+            radius *= 2.0
+        if rho > 0.0:
+            h, v, s = nh, nv, ns
+            info, g, H = _ascent_model(spec, h, v, residual)
+            _hold(held, stops, K)
+            moved = True
+    keep = v > 0.0
+    keep[0] = True
+    order = np.argsort(h[keep], kind="stable")
+    return h[keep][order], v[keep][order]
 
-    def unpack(z):
-        x = h.copy()
-        x[1:-1] = 1.0 / (1.0 + np.exp(-z[K:-1]))
-        x[-1] = 0.5 - math.sqrt(z[-1] / n)
-        return z[:K] / z[:K].sum(), x
 
-    def neg_info(z):
-        w, x = unpack(z)
-        logP = log_pmf_matrix(spec, x)
-        P = np.exp(logP)
-        logq = np.log(np.maximum(w @ _mirror_mix(P), _TINY_Q))
-        ival, _, ip = _info_terms(spec, x, logP, P, logq, np.arange(1, K), second=False)
-        d = 0.5 - x[-1]
-        gp = -ip[-1] / (2.0 * d) if d > 0.0 else \
-            _centre_terms(spec, P[-1], logP[-1] - logq)[1]
-        I = float(w @ ival)
-        xi = x[1:-1]
-        return -I, -np.concatenate([(ival - I) / z[:K].sum(),
-                                    w[1:-1] * ip[:-1] * xi * (1.0 - xi), [w[-1] * gp / n]])
-
-    hi = h[1:-1]
-    z0 = np.concatenate([v, np.log(hi / (1.0 - hi)), [n * (0.5 - h[-1]) ** 2]])
-    res = minimize(neg_info, z0, jac=True, method="L-BFGS-B",
-                   bounds=[(0.0, None)] * K + [(None, 0.0)] * len(hi) + [(0.0, None)],
-                   options=dict(maxiter=20000, maxfun=40000, ftol=1e-18, gtol=1e-14,
-                                maxcor=100))
-    w, x = unpack(res.x)
-    order = np.argsort(x)
-    return x[order], w[order]
-
-
-def _clean_structure(h, v, drop_w: float):
-    """Prune near-dead orbits (never the endpoint one) and merge collisions."""
-    keep = v > drop_w
+def _clean_structure(h, v):
+    """Prune orbits of mass at most _PRUNE_WEIGHT (never the endpoint one)
+    and merge collisions."""
+    keep = v > _PRUNE_WEIGHT
     keep[0] = True
     nh, nv = _merge_half(h[keep], v[keep])
     # snapping an atom onto 1/2 alone is no change of structure
@@ -471,10 +603,11 @@ def _clean_structure(h, v, drop_w: float):
 
 
 def _polish(spec: ChannelSpec, h: np.ndarray, v: np.ndarray):
-    """Fixed-structure solve: Newton, the ascent where it stalls, Newton
-    again; an orbit whose Newton mass goes negative is dropped.  Newton
-    splits or merges the centre by itself (the centre orbit's s), so the
-    ascent only has to bring a stalled start within its reach.
+    """Fixed-structure solve: Newton, the trust-region ascent of I where it
+    stalls, Newton again; an orbit whose Newton mass goes negative is
+    dropped, and so is one that the ascent leaves at mass 0.  Newton splits
+    or merges the centre by itself (the centre orbit's s), so the ascent
+    only has to bring a stalled start within its reach.
     """
     nh, nv, status, fn = _kkt_newton(spec, h, v)
     for _ in range(12):
@@ -490,7 +623,7 @@ def _polish(spec: ChannelSpec, h: np.ndarray, v: np.ndarray):
         else:
             log.debug("polish: Newton stalled (residual %.1e); direct ascent", fn)
             h, v = _ascend_information(spec, h, v)
-            h, v, changed = _clean_structure(h, v, drop_w=1e-7)
+            h, v, changed = _clean_structure(h, v)
             if not changed:
                 nh, nv, status, fn = _kkt_newton(spec, h, v)
                 return (nh, nv / nv.sum()) if status == "ok" else (h, v)
@@ -675,9 +808,10 @@ def _report(spec: ChannelSpec, dist: DiscreteInput, summary: KktSummary, logq: n
 def solve_capacity(spec: ChannelSpec, config: SolverConfig | None = None) -> SolveReport:
     """Compute the capacity and the capacity-achieving input distribution.
 
-    Alternates weight optimization (Blahut-Arimoto) with support refinement
-    until the certification (`_certify`) shows both KKT conditions holding to
-    config.kkt_tol; an escape atom goes in at the largest peak of the
+    Blahut-Arimoto sets the masses of the seed support once; then each
+    outer iteration polishes the half support (`_polish`) until the
+    certification (`_certify`) shows both KKT conditions holding to
+    config.kkt_tol, and an escape atom goes in at the largest peak of the
     information density that still exceeds the capacity estimate.  The solve
     state is a half support (module docstring); it becomes an input on
     [0, 1] only for certification and the report.  For n = 1 the known
@@ -718,7 +852,7 @@ def _polish_certify(spec: ChannelSpec, h: np.ndarray, v: np.ndarray, tol: float)
     structure and certify its input.  Returns (h, v, input, summary, peak_x,
     peak_i, log q)."""
     h, v = _polish(spec, h, v)
-    h, v, _ = _clean_structure(h, v, drop_w=_PRUNE_WEIGHT)
+    h, v, _ = _clean_structure(h, v)
     dist = _full_input(h, v)
     return (h, v, dist, *_certify(dist, spec, tol))
 
@@ -742,16 +876,14 @@ def _solve(spec: ChannelSpec, config: SolverConfig):
         return report_for_distribution(dist, spec, config.kkt_tol, iterations=0,
                                        converged=True), None
 
-    h, v = _seed_support(spec)
+    h, _ = _seed_support(spec)
+    v, lo, hi, _, D, _ = _ba_core(spec, h, _BA_TOL, max_iters=3000,
+                                  defect_tol=config.kkt_tol / 2, orbits=True)
+    drop = ((v < 1e-6) & (D < lo - 10 * max(hi - lo, config.kkt_tol))) | (v < _PRUNE_WEIGHT)
+    drop[0] = False
+    h, v = h[~drop], v[~drop] / v[~drop].sum()
     stall = 0
     for outer in range(1, config.max_outer_iters + 1):
-        v2, lo, hi, _, D, _ = _ba_core(spec, h, _BA_TOL, max_iters=3000,
-                                       defect_tol=config.kkt_tol / 2, orbits=True)
-        drop = ((v2 < 1e-6) & (D < lo - 10 * max(hi - lo, config.kkt_tol))) \
-            | (v2 < _PRUNE_WEIGHT)
-        drop[0] = False
-        h, v = h[~drop], v2[~drop] / v2[~drop].sum()
-
         step = _polish_certify(spec, h, v, config.kkt_tol)
         h, v, dist, summary, _, _, logq = step
         if summary.flags["kkt_equality"]:
@@ -774,12 +906,14 @@ def _solve(spec: ChannelSpec, config: SolverConfig):
 def _escape_candidates(peak_x, peak_i, cap, pts, tol) -> np.ndarray:
     """Where the density still exceeds capacity: the next atom in [0, 1/2].
 
-    i is even about 1/2, so the peaks in [0, 1/2] are all of them.  Takes
-    the largest one more than tol above cap that is not a copy of one of the
+    i is even about 1/2, so each peak x stands for min(x, 1 - x) (peak
+    refinement can end a hair past 1/2, as at n = 154).  Takes the largest
+    one more than tol above cap that is not a copy of one of the
     atoms pts on [0, 1]: where the polish ends off a Newton solution, the
     atoms' own bumps can top a peak that marks a missing atom.
     """
     radius = max(5 * _MERGE_RADIUS, 0.25 * float(np.diff(pts).min()))
-    far = np.min(np.abs(peak_x[:, None] - pts[None, :]), axis=1) > radius
-    s = np.where(far & (peak_x <= 0.5), peak_i - cap, -np.inf)
-    return peak_x[[np.argmax(s)]] if s.max() > tol else np.array([])
+    x = np.minimum(peak_x, 1.0 - peak_x)
+    far = np.min(np.abs(x[:, None] - pts[None, :]), axis=1) > radius
+    s = np.where(far, peak_i - cap, -np.inf)
+    return x[[np.argmax(s)]] if s.max() > tol else np.array([])

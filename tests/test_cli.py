@@ -109,6 +109,15 @@ class TestVerifyCommand:
             assert code == 2
             assert out == ""
             assert err.startswith("error:")
+        # a NaN point or weight (Python's json reads NaN)
+        for payload in ({"points": [0.0, float("nan"), 1.0], "weights": [0.3, 0.4, 0.3]},
+                        {"points": [0.0, 0.5, 1.0], "weights": [0.3, float("nan"), 0.3]}):
+            dist.write_text(json.dumps(payload))
+            code, out, err = run_cli(capsys, "verify", "--n", "2", "--dist", str(dist))
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error:")
+            assert "finite" in err
 
     def test_certifies_once(self, capsys, tmp_path, monkeypatch):
         import binomcap.solver

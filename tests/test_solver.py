@@ -1,5 +1,8 @@
 import logging
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -303,6 +306,82 @@ class TestSeedSupport:
         assert solve_capacity(ChannelSpec(2)).iterations == 1
 
 
+class TestAscent:
+    @pytest.mark.parametrize("s", [0.0, 2.5e-3])
+    def test_model_matches_central_differences(self, solved, s):
+        # a 5-orbit half support off the optimum, its last orbit a centre
+        # atom (s = 0) or a pair
+        spec = ChannelSpec(40)
+        h, v = _half(solved(40))
+        assert len(h) == 5
+        rng = np.random.default_rng(40)
+        K = len(h)
+        h[1:-1] += 3e-3 * rng.uniform(-1.0, 1.0, K - 2)
+        h[-1] = 0.5 - math.sqrt(s)
+        v = v * rng.uniform(0.8, 1.2, K)
+        v /= v.sum()
+
+        def model(z):
+            x = h.copy()
+            x[1:-1] = z[K:-1]
+            x[-1] = 0.5 - math.sqrt(z[-1])
+            return solver._ascent_model(spec, x, z[:K])
+
+        z = np.concatenate([v, h[1:-1], [s]])
+        info, g, H = model(z)
+        assert np.array_equal(H, H.T)
+        # off sum(v) = 1 the model is of the unnormalized sum_k v_k i(h_k),
+        # whose mass gradient is i(h_k) - 1
+        grad = g - np.concatenate([np.ones(K), np.zeros(K - 1)])
+        # s = 0 has no two-sided difference
+        cols = [j for j in range(len(z)) if j != 2 * K - 2 or s > 0.0]
+        num_g, num_H = np.zeros_like(g), np.zeros_like(H)
+        for j in cols:
+            e = np.zeros(len(z))
+            e[j] = 1e-7 if K <= j < 2 * K - 2 else 1e-6
+            up, down = model(z + e), model(z - e)
+            num_g[j] = (up[0] - down[0]) / (2 * e[j])
+            num_H[:, j] = (up[1] - down[1]) / (2 * e[j])
+        assert np.max(np.abs(num_g - grad)[cols]) <= 1e-6 * np.max(np.abs(grad))
+        assert np.max(np.abs(num_H - H)[:, cols]) <= 1e-6 * np.max(np.abs(H))
+
+    def test_trust_region_step_maximizes_the_model(self, rng):
+        for _ in range(20):
+            A = rng.normal(size=(6, 6))
+            H, g = A + A.T, rng.normal(size=6)
+            radius = rng.uniform(0.1, 2.0)
+            p, gain, boundary = solver._trust_region_step(g, H, radius)
+            assert np.linalg.norm(p) <= radius * (1 + 1e-6)
+            assert abs(gain - (g @ p + 0.5 * p @ H @ p)) <= 1e-10 * max(1.0, abs(gain))
+            # no point of the ball does better
+            u = rng.normal(size=(2000, 6))
+            u *= radius * rng.uniform(0, 1, (2000, 1)) ** (1 / 6) / np.linalg.norm(u, axis=1)[:, None]
+            assert np.max(u @ g + 0.5 * np.einsum("ij,jk,ik->i", u, H, u)) <= gain + 1e-12
+        # concave with the maximizer inside: the Newton step
+        H = -np.diag([1.0, 2.0, 4.0])
+        p, gain, boundary = solver._trust_region_step(np.ones(3), H, 10.0)
+        assert not boundary and np.allclose(p, [1.0, 0.5, 0.25])
+        # hard case: g has no part along the most convex direction; the
+        # step stops inside the ball, but still ascends
+        p, gain, boundary = solver._trust_region_step(np.array([0.0, 1.0]),
+                                                      np.diag([1.0, -4.0]), 1.0)
+        assert np.linalg.norm(p) <= 1.0 and gain > 0.0
+
+    def test_ascent_from_the_seed_reaches_newton(self):
+        spec = ChannelSpec(128)
+        h, _ = solver._seed_support(spec)
+        v = _ba_core(spec, h, solver._BA_TOL, 3000, defect_tol=5e-9, orbits=True)[0]
+        nh, nv = solver._ascend_information(spec, h, v)
+        info = solver._information(v, _kkt_residual(spec, h, v, 0.0)[1])
+        assert solver._information(nv, _kkt_residual(spec, nh, nv, 0.0)[1]) >= info
+        assert solver._kkt_newton(spec, nh, nv)[2] == "ok"
+
+    def test_scipy_optimize_not_imported(self):
+        code = "import binomcap, sys; assert 'scipy.optimize' not in sys.modules"
+        subprocess.run([sys.executable, "-c", code], check=True,
+                       env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+
+
 class TestSolverVariants:
     def test_small_budget_reports_honestly(self):
         # n = 64 takes two outer iterations to certify (n = 24 now takes one)
@@ -332,19 +411,28 @@ class TestSolverVariants:
 
 
     def test_budget_warning_names_the_rule(self, caplog):
-        # n = 17 takes two outer iterations
+        # n = 64 takes two outer iterations
         with caplog.at_level(logging.WARNING, logger="binomcap.solver"):
-            report = solve_capacity(ChannelSpec(17), SolverConfig(max_outer_iters=1))
+            report = solve_capacity(ChannelSpec(64), SolverConfig(max_outer_iters=1))
         assert not report.converged
         assert "outer-iteration budget spent" in caplog.text
 
-    def test_stall_warning_names_the_rule(self, caplog):
-        # n = 232 stops after 8 outer iterations with no escape atom left
+    def test_stall_warning_names_the_rule(self, caplog, monkeypatch):
+        # n = 64 needs an escape atom after its first outer iteration; with
+        # none found, the loop stops after five outer iterations
+        monkeypatch.setattr(solver, "_escape_candidates", lambda *args: np.array([]))
         with caplog.at_level(logging.WARNING, logger="binomcap.solver"):
-            report = solve_capacity(ChannelSpec(232))
+            report = solve_capacity(ChannelSpec(64))
         assert not report.converged
-        assert report.iterations == 8
+        assert report.iterations == 5
         assert "no peak away from the atoms for 5 outer iterations" in caplog.text
+
+    def test_budgeted_large_n_certify(self, solved):
+        # criterion 3's budgeted solves
+        for n in (512, 1024):
+            report = solved(n, max_outer_iters=16)
+            assert report.converged
+            assert report.kkt_slack <= 1e-8
 
 
 class TestSweepCapacity:
@@ -469,6 +557,16 @@ def _random_symmetric_input(rng):
 
 
 class TestCertificate:
+    def test_escape_folds_a_centre_peak_refined_past_half(self):
+        # peak refinement can end a hair above 1/2 (n = 154); i is even
+        # about 1/2, so that peak is the one at 1/2 - 1e-11
+        pts = np.array([0.0, 0.2, 0.8, 1.0])
+        peak_x = np.array([0.0, 0.35, 0.5 + 1e-11])
+        peak_i = np.array([0.0, 1e-7, 1e-6])
+        new = solver._escape_candidates(peak_x, peak_i, 0.0, pts, 1e-8)
+        assert len(new) == 1
+        assert 0.5 - 2e-11 <= new[0] <= 0.5
+
     def test_escape_skips_copies_of_atoms(self):
         # the largest peak is an atom's own bump; the next one marks a
         # missing atom
