@@ -1,5 +1,5 @@
-"""Capacity solver: arcsine-quantile seeding, support refinement, and KKT
-certification.
+"""Capacity solver: a seed at the optimum's edge gap, support refinement,
+and KKT certification.
 
 The capacity-achieving input is unique, hence mirror-symmetric, so the solve
 state is a half support: atoms 0 = h_0 < ... <= 1/2 with one mass v per
@@ -7,8 +7,11 @@ orbit {h, 1 - h}.  As P(y | 1 - x) = P(n - y | x), an orbit's channel row is
 the mean of P(.|h) and its reverse: one form for the endpoint orbit {0, 1},
 interior pairs and a centre atom.  The solve works in three layers:
 
-1. quantiles of the arcsine (Jeffreys) prior seed about 1.8 sqrt(n) atoms,
-   and Blahut-Arimoto on those atoms sets their masses, once per solve;
+1. about 2 sqrt(n) atoms seed the solve: the endpoints, the first interior
+   atom at the optimum's edge gap phi = 2 arcsin sqrt(x) = pi / sqrt(n),
+   and the rest equally spaced in phi up to its mirror image; Blahut-Arimoto
+   on those atoms sets their masses and the ascent of layer 2 moves them,
+   once per solve;
 2. a damped semismooth Newton iteration on the optimality conditions
    polishes masses and positions; the last orbit sits at 1/2 - sqrt(s), so
    one regular unknown covers a centre atom (s = 0) and a pair, and Newton
@@ -222,19 +225,31 @@ def _full_input(h: np.ndarray, v: np.ndarray) -> DiscreteInput:
 
 
 # seed atoms per sqrt(n): the paper bounds the support size below by order
-# sqrt(n), and certified supports have 13 atoms at n = 64, 20 at 128, 22 at 150
-_SEED_ATOMS_PER_ROOT_N = 1.8
+# sqrt(n), and certified supports have 13 atoms at n = 64, 20 at 128, 22 at
+# 150.  Cold solves of n = 2..300 take 446 outer iterations at 1.8, 370 at
+# 2.0 and 300 at 2.2, but 2.2 doubles the time of n = 80 and 128
+_SEED_ATOMS_PER_ROOT_N = 2.0
 
 
 def _seed_support(spec: ChannelSpec):
-    """Initial half support from the arcsine (Jeffreys) prior: about
-    1.8 sqrt(n) atoms on [0, 1] equally spaced in theta = arcsin sqrt(x),
-    the ones in [0, 1/2] with equal orbit masses.  At least 3 atoms, so 1/2
-    is one: for n >= 2, e^C >= 17/8 > 2, and the paper's cardinality bound
-    allows no fewer."""
-    K = max(3, int(_SEED_ATOMS_PER_ROOT_N * math.sqrt(spec.n)))
-    x = 0.5 - 0.5 * np.cos(np.linspace(0.0, math.pi, K))  # sin^2 theta
-    h = x[x <= 0.5]
+    """Initial half support: K = max(3, floor(2 sqrt(n))) atoms on [0, 1]
+    in phi = 2 arcsin sqrt(x), the endpoints and K - 2 atoms equally spaced
+    in phi from phi_1 = min(pi / sqrt(n), pi / 2) to pi - phi_1; the ones
+    in [0, 1/2], with equal orbit masses.  Certified supports have their
+    first interior atom at phi_1 sqrt(n) = 3.13 for n = 20..300, a gap that
+    fits the extra endpoint mass of Xie & Barron's modified Jeffreys prior;
+    equal spacing of all K atoms in phi would put a surplus atom in it.  At
+    least 3 atoms, so 1/2 is one: for n >= 2, e^C >= 17/8 > 2, and the
+    paper's cardinality bound allows no fewer; for n <= 4, phi_1 = pi / 2
+    and the seed is {0, 1/2, 1}.
+    """
+    n = spec.n
+    K = max(3, int(_SEED_ATOMS_PER_ROOT_N * math.sqrt(n)))
+    edge = min(math.pi / math.sqrt(n), 0.5 * math.pi)
+    phi = np.concatenate([[0.0], np.linspace(edge, math.pi - edge, K - 2), [math.pi]])
+    # the first ceil(K / 2) atoms are those in [0, 1/2]; the merge snaps a
+    # middle one onto 1/2 and merges the copies of 1/2 for n <= 4
+    h = np.sin(0.5 * phi[:(K + 1) // 2]) ** 2
     return _merge_half(h, np.ones(len(h)))
 
 
@@ -808,11 +823,12 @@ def _report(spec: ChannelSpec, dist: DiscreteInput, summary: KktSummary, logq: n
 def solve_capacity(spec: ChannelSpec, config: SolverConfig | None = None) -> SolveReport:
     """Compute the capacity and the capacity-achieving input distribution.
 
-    Blahut-Arimoto sets the masses of the seed support once; then each
-    outer iteration polishes the half support (`_polish`) until the
-    certification (`_certify`) shows both KKT conditions holding to
-    config.kkt_tol, and an escape atom goes in at the largest peak of the
-    information density that still exceeds the capacity estimate.  The solve
+    Blahut-Arimoto sets the masses of the seed support and the ascent of I
+    moves it, once; then each outer iteration polishes the half support
+    (`_polish`) until the certification (`_certify`) shows both KKT
+    conditions holding to config.kkt_tol, and an escape atom goes in at the
+    largest peak of the information density that still exceeds the
+    capacity estimate.  The solve
     state is a half support (module docstring); it becomes an input on
     [0, 1] only for certification and the report.  For n = 1 the known
     two-point solution is returned.
@@ -827,7 +843,9 @@ def sweep_capacity(n_max: int, config: SolverConfig | None = None):
     that does not certify, an escape atom goes in as in an outer iteration
     of the cold solve and the polish runs once more (iterations=2), which
     crosses the birth of a centre atom.  Where that does not certify either,
-    for n <= 2 and after an uncertified n, the report is solve_capacity's."""
+    for n <= 2 and after an uncertified n, the report is solve_capacity's.
+    An n_max out of ChannelSpec's range raises before the first solve."""
+    ChannelSpec(n_max)
     config = config or SolverConfig()
     tol = config.kkt_tol
     half = None
@@ -882,6 +900,9 @@ def _solve(spec: ChannelSpec, config: SolverConfig):
     drop = ((v < 1e-6) & (D < lo - 10 * max(hi - lo, config.kkt_tol))) | (v < _PRUNE_WEIGHT)
     drop[0] = False
     h, v = h[~drop], v[~drop] / v[~drop].sum()
+    # from the BA masses Newton mostly stalls: ascend first, so that the
+    # first polish starts within its reach
+    h, v, _ = _clean_structure(*_ascend_information(spec, h, v))
     stall = 0
     for outer in range(1, config.max_outer_iters + 1):
         step = _polish_certify(spec, h, v, config.kkt_tol)

@@ -43,8 +43,8 @@ class TestSolveCommand:
         assert "error" in err
 
     def test_nonconvergence_exit_code(self, capsys):
-        # n = 64 takes two outer iterations to certify (n = 24 now takes one)
-        code, out, _ = run_cli(capsys, "solve", "--n", "64", "--max-outer-iters", "1")
+        # n = 30 takes two outer iterations to certify (n = 64 takes one)
+        code, out, _ = run_cli(capsys, "solve", "--n", "30", "--max-outer-iters", "1")
         assert code == 3
         payload = json.loads(out)  # report still emitted
         assert payload["converged"] is False
@@ -206,6 +206,19 @@ class TestSweepCommand:
         assert int(row[0]) == 2
         assert float(row[2]) == pytest.approx(math.log(17 / 8), abs=1e-9)
         assert float(row[1]) <= float(row[2]) <= float(row[3])
+
+    def test_n_max_above_the_range_fails_before_any_solve(self, capsys, monkeypatch):
+        import binomcap.solver
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("sweep must check --n-max before solving")
+
+        monkeypatch.setattr(binomcap.solver, "_solve", no_solve)
+        monkeypatch.setattr(binomcap.solver, "_polish_certify", no_solve)
+        code, out, err = run_cli(capsys, "sweep", "--n-max", "4097")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
 
 
 class TestTableCommand:

@@ -289,9 +289,11 @@ class TestSeedSupport:
         monkeypatch.setattr(solver, "_ba_core", no_ba)
         solver._seed_support(ChannelSpec(128))
 
-    @pytest.mark.parametrize("n", [2, 3, 24, 256, 4096])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 9, 24, 80, 128, 256, 4096])
     def test_is_a_half_support(self, n):
         h, v = solver._seed_support(ChannelSpec(n))
+        # half of K = max(3, floor(2 sqrt(n))) atoms on [0, 1]
+        assert len(h) == math.ceil(max(3, int(2 * math.sqrt(n))) / 2)
         assert h[0] == 0.0
         assert np.all(np.diff(h) > 0.0)
         assert h[-1] <= 0.5
@@ -304,6 +306,19 @@ class TestSeedSupport:
         h, _ = solver._seed_support(ChannelSpec(2))
         assert 0.5 in h
         assert solve_capacity(ChannelSpec(2)).iterations == 1
+
+    @pytest.mark.parametrize("n", [5, 24, 80, 128, 4096])
+    def test_first_interior_atom_at_the_edge_gap(self, n):
+        # certified supports put it at phi = 2 arcsin sqrt(x) = pi / sqrt(n)
+        h, _ = solver._seed_support(ChannelSpec(n))
+        assert abs(h[1] - math.sin(math.pi / (2 * math.sqrt(n))) ** 2) <= 1e-15
+
+    @pytest.mark.parametrize("n", [80, 128])
+    def test_cold_solve_certifies_in_one_outer_iteration(self, solved, n):
+        report = solved(n)
+        assert report.converged and report.iterations == 1
+        # at a Newton solution
+        assert report.kkt_slack <= 1e-12 and report.equality_defect <= 1e-12
 
 
 class TestAscent:
@@ -384,8 +399,8 @@ class TestAscent:
 
 class TestSolverVariants:
     def test_small_budget_reports_honestly(self):
-        # n = 64 takes two outer iterations to certify (n = 24 now takes one)
-        report = solve_capacity(ChannelSpec(64), SolverConfig(max_outer_iters=1))
+        # n = 19 takes two outer iterations to certify (n = 64 takes one)
+        report = solve_capacity(ChannelSpec(19), SolverConfig(max_outer_iters=1))
         assert not report.converged
         assert report.kkt_slack > 1e-8
 
@@ -399,8 +414,8 @@ class TestSolverVariants:
             return out
 
         monkeypatch.setattr(solver, "_certify", spy)
-        # n = 256 takes four outer iterations (n = 95 takes two)
-        report = solve_capacity(ChannelSpec(256), SolverConfig(max_outer_iters=2))
+        # n = 457 takes three outer iterations (n = 256 takes two)
+        report = solve_capacity(ChannelSpec(457), SolverConfig(max_outer_iters=2))
         assert not report.converged
         assert report.iterations == len(seen) == 2
         dist, summary = seen[-1]
@@ -411,18 +426,18 @@ class TestSolverVariants:
 
 
     def test_budget_warning_names_the_rule(self, caplog):
-        # n = 64 takes two outer iterations
+        # n = 30 takes two outer iterations
         with caplog.at_level(logging.WARNING, logger="binomcap.solver"):
-            report = solve_capacity(ChannelSpec(64), SolverConfig(max_outer_iters=1))
+            report = solve_capacity(ChannelSpec(30), SolverConfig(max_outer_iters=1))
         assert not report.converged
         assert "outer-iteration budget spent" in caplog.text
 
     def test_stall_warning_names_the_rule(self, caplog, monkeypatch):
-        # n = 64 needs an escape atom after its first outer iteration; with
+        # n = 19 needs an escape atom after its first outer iteration; with
         # none found, the loop stops after five outer iterations
         monkeypatch.setattr(solver, "_escape_candidates", lambda *args: np.array([]))
         with caplog.at_level(logging.WARNING, logger="binomcap.solver"):
-            report = solve_capacity(ChannelSpec(64))
+            report = solve_capacity(ChannelSpec(19))
         assert not report.converged
         assert report.iterations == 5
         assert "no peak away from the atoms for 5 outer iterations" in caplog.text
