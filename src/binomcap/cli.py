@@ -190,7 +190,7 @@ def _cmd_table(args) -> int:
     reports = []
     for n in (1, 2, 3):
         fixture = exact_solution(n)
-        report = report_for_distribution(fixture.input, ChannelSpec(n), converged=True)
+        report = report_for_distribution(fixture.input, ChannelSpec(n))
         reports.append(report.to_dict())
     _emit(args, dumps(reports) + "\n")
     return 0

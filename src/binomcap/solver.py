@@ -15,17 +15,19 @@ interior pairs and a centre atom.  The solve works in three layers:
 2. a damped semismooth Newton iteration on the optimality conditions
    polishes masses and positions; the last orbit sits at 1/2 - sqrt(s), so
    one regular unknown covers a centre atom (s = 0) and a pair, and Newton
-   splits or merges the centre by itself; negative masses mark orbits to
-   drop, and where Newton stalls a trust-region Newton ascent of I over the
-   same unknowns, on the same derivatives, brings it in range;
+   splits or merges the centre by itself; where Newton leaves the system
+   unsolved or a mass nonpositive, a trust-region Newton ascent of I over
+   the same unknowns, on the same derivatives, drops the orbits it leaves
+   at mass 0 and brings Newton in range;
 3. the half support becomes an input on [0, 1] for certification: the
    information density is evaluated on a grid of 4 points per kernel width
    in arcsin sqrt(x), and each local maximum on it is refined by Newton's
    method on i'; where a peak still exceeds the capacity an atom is added
    there.
 
-`sweep_capacity` starts each n from the solution certified at n - 1 with
-layers 2 and 3 alone, and runs the full solve where that does not certify.
+Layers 2 and 3 form the outer-iteration loop, `_refine`.  `sweep_capacity`
+starts each n from the solution certified at n - 1 with two of its outer
+iterations, and runs the full solve where that does not certify.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ _TINY_Q = 1e-300
 _DEAD_WEIGHT = 1e-40   # Blahut-Arimoto weight floor: no weight goes subnormal
 _BA_TOL = 1e-10        # duality gap at which Blahut-Arimoto on the support stops
 _MERGE_RADIUS = 1e-4   # half-support atoms at most this far apart merge
-_PRUNE_WEIGHT = 1e-12  # orbits at most this heavy are dropped
+_PRUNE_WEIGHT = 1e-12  # the seed's BA drop rule drops orbits lighter than this
 
 
 @dataclass(frozen=True)
@@ -323,9 +325,8 @@ def _kkt_system(spec: ChannelSpec, h: np.ndarray, v: np.ndarray, terms) -> np.nd
     """Jacobian of the stationarity system in (v, h_int, s, C).
 
     `terms` are the ones `_kkt_residual` returned at (h, v).  Masses enter
-    linearly so the Newton solution signals superfluous orbits by negative
-    masses.  An atom of h_int moves q through its orbit's row, R' = dR/dh,
-    and s through the centre orbit's, R_s = dR/ds.
+    linearly.  An atom of h_int moves q through its orbit's row,
+    R' = dR/dh, and s through the centre orbit's, R_s = dR/ds.
     """
     P, R, q, Pp, ip, ipp, Rs, gp, gpp, s_row = terms
     K = len(h)
@@ -367,14 +368,14 @@ def _information(v: np.ndarray, ival: np.ndarray) -> float:
 def _kkt_newton(spec: ChannelSpec, h0: np.ndarray, v0: np.ndarray):
     """Damped semismooth Newton on the stationarity system.
 
-    Returns (h, v, status, residual): 'ok' (solved, all masses positive),
-    'neg' (solved, some mass nonpositive: drop that orbit) or 'stall'.  The
-    atoms of h_int stay between the midpoints to their neighbours, the
-    centre orbit between that midpoint and 1/2.  A run keeps the centre
-    row's branch that its start selects and takes a damped step if it lowers
-    the largest residual or raises I; it stops below 1e-13 or once the
-    residual has not halved in ten steps.  If it leaves the system unsolved
-    (above 1e-10), a second run from the start takes the other branch.
+    Returns (h, v, status, residual): 'ok' (residual at most 1e-10, all
+    masses positive) or 'stall' (anything else).  The atoms of h_int stay
+    between the midpoints to their neighbours, the centre orbit between that
+    midpoint and 1/2.  A run keeps the centre row's branch that its start
+    selects and takes a damped step if it lowers the largest residual or
+    raises I; it stops below 1e-13 or once the residual has not halved in
+    ten steps.  If it leaves the system unsolved (above 1e-10), a second run
+    from the start takes the other branch.
     """
     K = len(h0)
     if K < 2:
@@ -428,7 +429,7 @@ def _kkt_newton(spec: ChannelSpec, h0: np.ndarray, v0: np.ndarray):
         if fn <= 1e-10:
             break
     h, v, fn = best
-    status = "stall" if fn > 1e-10 else "ok" if np.all(v > 0) else "neg"
+    status = "ok" if fn <= 1e-10 and np.all(v > 0) else "stall"
     return h, v, status, fn
 
 
@@ -607,43 +608,20 @@ def _ascend_information(spec: ChannelSpec, h: np.ndarray, v: np.ndarray):
     return h[keep][order], v[keep][order]
 
 
-def _clean_structure(h, v):
-    """Prune orbits of mass at most _PRUNE_WEIGHT (never the endpoint one)
-    and merge collisions."""
-    keep = v > _PRUNE_WEIGHT
-    keep[0] = True
-    nh, nv = _merge_half(h[keep], v[keep])
-    # snapping an atom onto 1/2 alone is no change of structure
-    return nh, nv, len(nh) != len(h)
-
-
 def _polish(spec: ChannelSpec, h: np.ndarray, v: np.ndarray):
-    """Fixed-structure solve: Newton, the trust-region ascent of I where it
-    stalls, Newton again; an orbit whose Newton mass goes negative is
-    dropped, and so is one that the ascent leaves at mass 0.  Newton splits
-    or merges the centre by itself (the centre orbit's s), so the ascent
-    only has to bring a stalled start within its reach.
+    """Fixed-structure solve: Newton; where it does not end 'ok', one
+    trust-region ascent of I, which drops the orbits it leaves at mass 0,
+    and Newton again from the ascent's answer.  Returns Newton's answer
+    where it solved, else the ascent's.  Newton splits or merges the centre
+    by itself (the centre orbit's s), so the ascent only has to bring a
+    stalled start within its reach.
     """
     nh, nv, status, fn = _kkt_newton(spec, h, v)
-    for _ in range(12):
-        if status == "ok":
-            return nh, nv / nv.sum()
-        if status == "neg":
-            j = int(np.argmin(nv))
-            if j == 0:
-                break
-            log.debug("polish: dropping atom %.6f (mass %.2e)", nh[j], nv[j])
-            h, v = np.delete(nh, j), np.maximum(np.delete(nv, j), _PRUNE_WEIGHT)
-            v = v / v.sum()
-        else:
-            log.debug("polish: Newton stalled (residual %.1e); direct ascent", fn)
-            h, v = _ascend_information(spec, h, v)
-            h, v, changed = _clean_structure(h, v)
-            if not changed:
-                nh, nv, status, fn = _kkt_newton(spec, h, v)
-                return (nh, nv / nv.sum()) if status == "ok" else (h, v)
-        nh, nv, status, fn = _kkt_newton(spec, h, v)
-    return h, v
+    if status != "ok":
+        log.debug("polish: Newton stalled (residual %.1e); direct ascent", fn)
+        h, v = _merge_half(*_ascend_information(spec, h, v))
+        nh, nv, status, _ = _kkt_newton(spec, h, v)
+    return (nh, nv / nv.sum()) if status == "ok" else (h, v)
 
 
 # ---------------------------------------------------------------------------
@@ -785,12 +763,12 @@ def kkt_verify(report: SolveReport, spec: ChannelSpec, tol: float = 1e-8) -> Kkt
     return _certify(report.input, spec, tol)[0]
 
 
-def report_for_distribution(dist: DiscreteInput, spec: ChannelSpec, tol: float = 1e-8,
-                            iterations: int = 0, converged: bool | None = None) -> SolveReport:
-    """Build a SolveReport around an externally supplied distribution."""
+def report_for_distribution(dist: DiscreteInput, spec: ChannelSpec,
+                            tol: float = 1e-8) -> SolveReport:
+    """Build a SolveReport around an externally supplied distribution:
+    iterations 0, converged where it certifies (the `kkt_equality` flag)."""
     summary, _, _, logq = _certify(dist, spec, tol)
-    ok = summary.flags["kkt_equality"] if converged is None else converged
-    return _report(spec, dist, summary, logq, iterations, ok)
+    return _report(spec, dist, summary, logq, 0, summary.flags["kkt_equality"])
 
 
 def _report(spec: ChannelSpec, dist: DiscreteInput, summary: KktSummary, logq: np.ndarray,
@@ -824,14 +802,15 @@ def solve_capacity(spec: ChannelSpec, config: SolverConfig | None = None) -> Sol
     """Compute the capacity and the capacity-achieving input distribution.
 
     Blahut-Arimoto sets the masses of the seed support and the ascent of I
-    moves it, once; then each outer iteration polishes the half support
-    (`_polish`) until the certification (`_certify`) shows both KKT
-    conditions holding to config.kkt_tol, and an escape atom goes in at the
-    largest peak of the information density that still exceeds the
-    capacity estimate.  The solve
-    state is a half support (module docstring); it becomes an input on
-    [0, 1] only for certification and the report.  For n = 1 the known
-    two-point solution is returned.
+    moves it, once; then each outer iteration of `_refine` polishes the
+    half support (`_polish`) until the certification (`_certify`) shows both
+    KKT conditions holding to config.kkt_tol, and an escape atom goes in at
+    the largest peak of the information density that still exceeds the
+    capacity estimate.  The loop stops at config.max_outer_iters, or at the
+    first outer iteration with no such peak.  The solve state is a half
+    support (module docstring); it becomes an input on [0, 1] only for
+    certification and the report.  For n = 1 the known two-point solution
+    is returned.
     """
     return _solve(spec, config or SolverConfig())[0]
 
@@ -839,50 +818,41 @@ def solve_capacity(spec: ChannelSpec, config: SolverConfig | None = None) -> Sol
 def sweep_capacity(n_max: int, config: SolverConfig | None = None):
     """Yield the SolveReport of every n = 1..n_max.  The support moves
     continuously in n between structural events, so the half support
-    certified at n - 1 is polished and certified at n (iterations=1).  Where
-    that does not certify, an escape atom goes in as in an outer iteration
-    of the cold solve and the polish runs once more (iterations=2), which
-    crosses the birth of a centre atom.  Where that does not certify either,
-    for n <= 2 and after an uncertified n, the report is solve_capacity's.
-    An n_max out of ChannelSpec's range raises before the first solve."""
+    certified at n - 1 starts `_refine` at n with a budget of two outer
+    iterations: the first polishes and certifies it (iterations=1), the
+    second adds the escape atom and polishes once more (iterations=2), which
+    crosses the birth of a centre atom.  Where that does not certify, for
+    n <= 2 and after an uncertified n, the report is solve_capacity's.  An
+    n_max out of ChannelSpec's range raises before the first solve."""
     ChannelSpec(n_max)
     config = config or SolverConfig()
-    tol = config.kkt_tol
     half = None
     for n in range(1, n_max + 1):
         spec = ChannelSpec(n)
         if half is not None:
-            step, iterations = _polish_certify(spec, *half, tol), 1
-            grown = None if step[3].flags["kkt_equality"] else _with_escape_atom(step, tol)
-            if grown is not None:
-                step, iterations = _polish_certify(spec, *grown, tol), 2
-            h, v, dist, summary, _, _, logq = step
-            if summary.flags["kkt_equality"]:
-                half = h, v
-                yield _report(spec, dist, summary, logq, iterations, converged=True)
-                continue
-        report, half = _solve(spec, config)
+            report, half = _refine(spec, *half, config.kkt_tol, 2)
+        if half is None:
+            report, half = _solve(spec, config)
         yield report
 
 
-def _polish_certify(spec: ChannelSpec, h: np.ndarray, v: np.ndarray, tol: float):
-    """The tail of an outer iteration: polish the half support, clean its
-    structure and certify its input.  Returns (h, v, input, summary, peak_x,
-    peak_i, log q)."""
-    h, v = _polish(spec, h, v)
-    h, v, _ = _clean_structure(h, v)
-    dist = _full_input(h, v)
-    return (h, v, dist, *_certify(dist, spec, tol))
-
-
-def _with_escape_atom(step, tol: float):
-    """The half support of a `_polish_certify` step with an atom of mass 1e-3
-    at its escape candidate, or None where there is none."""
-    h, v, dist, summary, peak_x, peak_i, _ = step
-    new = _escape_candidates(peak_x, peak_i, summary.capacity_nats, dist.points, tol)
-    if not len(new):
-        return None
-    return _merge_half(np.append(h, new), np.append(v, 1e-3))
+def _refine(spec: ChannelSpec, h: np.ndarray, v: np.ndarray, tol: float, max_outer: int):
+    """The outer-iteration loop: polish the half support, certify its input
+    and, where that does not certify, add an atom of mass 1e-3 at the escape
+    candidate and go round again.  Returns (report, (h, v)) of the first
+    certified iterate, or (report of the last iterate, None) once max_outer
+    outer iterations are spent or no escape candidate is left."""
+    for outer in range(1, max_outer + 1):
+        h, v = _merge_half(*_polish(spec, h, v))
+        dist = _full_input(h, v)
+        summary, peak_x, peak_i, logq = _certify(dist, spec, tol)
+        if summary.flags["kkt_equality"]:
+            return _report(spec, dist, summary, logq, outer, converged=True), (h, v)
+        new = _escape_candidates(peak_x, peak_i, summary.capacity_nats, dist.points, tol)
+        if not len(new):
+            break
+        h, v = _merge_half(np.append(h, new), np.append(v, 1e-3))
+    return _report(spec, dist, summary, logq, outer, converged=False), None
 
 
 def _solve(spec: ChannelSpec, config: SolverConfig):
@@ -891,8 +861,7 @@ def _solve(spec: ChannelSpec, config: SolverConfig):
     n = spec.n
     if n == 1:
         dist = DiscreteInput(np.array([0.0, 1.0]), np.array([0.5, 0.5]))
-        return report_for_distribution(dist, spec, config.kkt_tol, iterations=0,
-                                       converged=True), None
+        return report_for_distribution(dist, spec, config.kkt_tol), None
 
     h, _ = _seed_support(spec)
     v, lo, hi, _, D, _ = _ba_core(spec, h, _BA_TOL, max_iters=3000,
@@ -902,26 +871,15 @@ def _solve(spec: ChannelSpec, config: SolverConfig):
     h, v = h[~drop], v[~drop] / v[~drop].sum()
     # from the BA masses Newton mostly stalls: ascend first, so that the
     # first polish starts within its reach
-    h, v, _ = _clean_structure(*_ascend_information(spec, h, v))
-    stall = 0
-    for outer in range(1, config.max_outer_iters + 1):
-        step = _polish_certify(spec, h, v, config.kkt_tol)
-        h, v, dist, summary, _, _, logq = step
-        if summary.flags["kkt_equality"]:
-            return _report(spec, dist, summary, logq, outer, converged=True), (h, v)
-        grown = _with_escape_atom(step, config.kkt_tol)
-        stall = 0 if grown is not None else stall + 1
-        if stall >= 5:
-            break
-        if grown is not None:
-            h, v = grown
-
-    log.warning("solve_capacity(n=%d): not certified after %d outer iterations "
-                "(slack %.2e, defect %.2e): %s", n, outer, summary.slack,
-                summary.equality_defect,
-                "no peak away from the atoms for 5 outer iterations" if stall >= 5
-                else "outer-iteration budget spent")
-    return _report(spec, dist, summary, logq, outer, converged=False), None
+    h, v = _merge_half(*_ascend_information(spec, h, v))
+    report, half = _refine(spec, h, v, config.kkt_tol, config.max_outer_iters)
+    if half is None:
+        log.warning("solve_capacity(n=%d): not certified after %d outer iterations "
+                    "(slack %.2e, defect %.2e): %s", n, report.iterations, report.kkt_slack,
+                    report.equality_defect,
+                    "outer-iteration budget spent" if report.iterations == config.max_outer_iters
+                    else "no peak away from the atoms")
+    return report, half
 
 
 def _escape_candidates(peak_x, peak_i, cap, pts, tol) -> np.ndarray:

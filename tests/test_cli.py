@@ -214,7 +214,7 @@ class TestSweepCommand:
             raise AssertionError("sweep must check --n-max before solving")
 
         monkeypatch.setattr(binomcap.solver, "_solve", no_solve)
-        monkeypatch.setattr(binomcap.solver, "_polish_certify", no_solve)
+        monkeypatch.setattr(binomcap.solver, "_refine", no_solve)
         code, out, err = run_cli(capsys, "sweep", "--n-max", "4097")
         assert code == 2
         assert out == ""

@@ -252,9 +252,8 @@ class TestHalfSupport:
         assert np.max(np.abs(nh - h)) <= 1e-9
 
     def test_polish_ascends_once_when_newton_stalls(self, monkeypatch):
-        # the ascent's last atom lands within the merge radius of 1/2 and
-        # snaps onto it; that is no change of structure, so a second ascent
-        # from the same start would only repeat the first
+        # Newton stalls before and after the ascent: one ascent, whose last
+        # atom lands within the merge radius of 1/2 and snaps onto it
         ascents = []
 
         def stalled_newton(spec, h, v):
@@ -269,6 +268,36 @@ class TestHalfSupport:
         h, v = solver._polish(ChannelSpec(24), np.array([0.0, 0.2, 0.45]), np.full(3, 1 / 3))
         assert ascents == [3]
         assert h[-1] == 0.5
+
+    def test_polish_ascends_where_newton_leaves_a_negative_mass(self, solved, monkeypatch):
+        # a Newton answer with a nonpositive mass is no solution: the ascent
+        # holds masses at 0 rather than the orbit being dropped outright, and
+        # from the solved start it keeps all 4 orbits
+        spec = ChannelSpec(24)
+        h, v = _half(solved(24))
+        assert len(h) == 4
+        newton, ascend = solver._kkt_newton, solver._ascend_information
+        newtons, ascents = [], []
+
+        def negative_once(spec, h0, v0):
+            newtons.append(len(h0))
+            if len(newtons) > 1:
+                return newton(spec, h0, v0)
+            nv = v0.copy()
+            nv[2] = -0.01
+            return h0.copy(), nv, "neg", 1e-14
+
+        def spy_ascent(spec, h0, v0):
+            ascents.append(len(h0))
+            return ascend(spec, h0, v0)
+
+        monkeypatch.setattr(solver, "_kkt_newton", negative_once)
+        monkeypatch.setattr(solver, "_ascend_information", spy_ascent)
+        nh, nv = solver._polish(spec, h, v)
+        assert ascents == [4]
+        assert len(nh) == 4
+        assert np.all(nv > 0.0)
+        assert abs(nv.sum() - 1.0) <= 1e-15
 
     @pytest.mark.parametrize("n", [10, 24, 128])
     def test_orbit_ba_matches_full_grid(self, n):
@@ -434,13 +463,14 @@ class TestSolverVariants:
 
     def test_stall_warning_names_the_rule(self, caplog, monkeypatch):
         # n = 19 needs an escape atom after its first outer iteration; with
-        # none found, the loop stops after five outer iterations
+        # none found, the loop stops there
         monkeypatch.setattr(solver, "_escape_candidates", lambda *args: np.array([]))
         with caplog.at_level(logging.WARNING, logger="binomcap.solver"):
             report = solve_capacity(ChannelSpec(19))
         assert not report.converged
-        assert report.iterations == 5
-        assert "no peak away from the atoms for 5 outer iterations" in caplog.text
+        assert report.iterations == 1
+        assert "no peak away from the atoms" in caplog.text
+        assert "outer-iteration budget spent" not in caplog.text
 
     def test_budgeted_large_n_certify(self, solved):
         # criterion 3's budgeted solves
@@ -534,6 +564,12 @@ class TestKktVerify:
         assert not report.converged
         assert report.kkt_slack > 0.05
         assert kkt_verify(report, ChannelSpec(2)).slack > 0.05
+
+    def test_converged_comes_from_the_certificate(self):
+        # no caller can stamp an input converged that does not certify
+        dist = DiscreteInput([0.0, 1.0], [0.5, 0.5])
+        with pytest.raises(TypeError):
+            report_for_distribution(dist, ChannelSpec(2), converged=True)
 
     def test_rejects_nonpositive_tol(self, table_dists):
         for tol in (0.0, -1e-8, float("nan")):
