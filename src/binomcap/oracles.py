@@ -80,18 +80,34 @@ def exact_solution(n: int) -> ExactSolution:
     )
 
 
+def _densities(q: np.ndarray, P: np.ndarray, H: np.ndarray) -> np.ndarray:
+    """Information densities D_k of every grid point against the output pmf q."""
+    return H - P @ np.log(np.maximum(q, 1e-300))
+
+
 def _information(w: np.ndarray, q: np.ndarray, P: np.ndarray, H: np.ndarray):
     """I(w) and the information densities D_k of the grid input w with output pmf q."""
-    D = H - P @ np.log(np.maximum(q, 1e-300))
+    D = _densities(q, P, H)
     return float(w @ D), D
 
 
-def _plain_step(x: np.ndarray, D: np.ndarray, P: np.ndarray, H: np.ndarray):
-    """One Blahut-Arimoto step x * exp(D - max D), normalized; it never lowers I."""
+def _information_value(w: np.ndarray, q: np.ndarray, H: np.ndarray) -> float:
+    """I(w) = w.H - q.log q of the grid input w with output pmf q = w P.
+
+    Equal to w.D of `_information` up to rounding, but its only channel
+    term is the (n + 1)-cell sum over q: no product with the channel matrix.
+    """
+    return float(w @ H - q @ np.log(np.maximum(q, 1e-300)))
+
+
+def _plain_step(x: np.ndarray, q: np.ndarray, P: np.ndarray, H: np.ndarray):
+    """One Blahut-Arimoto step x * exp(D - max D) from x with output pmf q,
+    normalized; it never lowers I.  Returns the new x, its output pmf and I."""
+    D = _densities(q, P, H)
     x = x * np.exp(D - D.max())
     x /= x.sum()
     q = x @ P
-    return (x, q, *_information(x, q, P, H))
+    return x, q, _information_value(x, q, H)
 
 
 def brute_force_grid_capacity(spec: ChannelSpec, grid_points: int, tol: float,
@@ -104,19 +120,27 @@ def brute_force_grid_capacity(spec: ChannelSpec, grid_points: int, tol: float,
     (Hanzely, Richtarik & Xiao, 2021) with relative-smoothness constant 1, the
     constant that makes plain Blahut-Arimoto a unit step.  Iteration k mixes
     y = (1 - t) x + t z with t = 2 / (k + 2), takes the mirror step
-    z <- z * exp(D(y) / t) and sets x <- (1 - t) x + t z.  Output pmfs mix
-    linearly with their inputs, so only the densities D need a product with
-    the channel matrix.  If the new x has lower I, a plain Blahut-Arimoto step
-    from the old x replaces it and restarts the scheme, so I(x) never
-    decreases.  Every 50 iterations z replaces x when I(z) is higher, and the
-    duality gap max_k D_k - I(x) is certified over the full grid.  The value
-    returned is I(x) of a grid distribution whose gap is at most tol; raises
-    if that does not happen within the iteration cap.
+    z <- z * exp(D(y) / t) and sets x <- (1 - t) x + t z.  If the new x has
+    lower I, a plain Blahut-Arimoto step from the old x replaces it and
+    restarts the scheme, so I(x) never decreases.  Every 50 iterations z
+    replaces x when I(z) is higher, and the duality gap max_k D_k - I(x) is
+    certified over the full grid.  The value returned is I(x) of a grid
+    distribution whose gap is at most tol; raises if that does not happen
+    within the iteration cap.
+
+    Output pmfs mix linearly with their inputs, and I(w) = w.H - q.log q
+    with q = w P, where H_k is the negative entropy of row k of the channel
+    matrix P.  So an iteration takes two products with P: the densities
+    D(y) = H - P log q_y from the mixed pmf q_y, and q_z = z P.  The
+    densities of x itself are formed only at the 50-iteration certificate
+    and at a plain step.
     """
     if grid_points < 101 or grid_points % 2 == 0:
         raise ValueError("grid_points must be odd and at least 101")
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
+    if max_iters < 0:
+        raise ValueError("max_iters must be non-negative")
     xs = np.linspace(0.0, 1.0, grid_points)
     logP = log_pmf_matrix(spec, xs)
     P = np.exp(logP)
@@ -135,17 +159,17 @@ def brute_force_grid_capacity(spec: ChannelSpec, grid_points: int, tol: float,
             if it == max_iters:
                 break
         t = 2.0 / (k + 2)
-        _, Dy = _information((1 - t) * x + t * z, (1 - t) * qx + t * qz, P, H)
+        Dy = _densities((1 - t) * qx + t * qz, P, H)
         z = z * np.exp((Dy - Dy.max()) / t)
         z /= z.sum()
         qz = z @ P
         xc, qc = (1 - t) * x + t * z, (1 - t) * qx + t * qz
-        info, Dc = _information(xc, qc, P, H)
+        info = _information_value(xc, qc, H)
         if info < lo:
-            x, qx, lo, Dx = _plain_step(x, Dx, P, H)
+            x, qx, lo = _plain_step(x, qx, P, H)
             z, qz, k = x, qx, 0
         else:
-            x, qx, lo, Dx, k = xc, qc, info, Dc, k + 1
+            x, qx, lo, k = xc, qc, info, k + 1
     raise RuntimeError(
         f"grid mirror ascent did not reach duality gap {tol} within {max_iters} iterations"
     )

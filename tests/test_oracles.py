@@ -12,6 +12,7 @@ from binomcap import (
     kkt_verify,
     report_for_distribution,
 )
+from binomcap.kernel import log_pmf_matrix
 
 
 class TestExactSolutions:
@@ -86,6 +87,12 @@ class TestGridOracle:
             brute_force_grid_capacity(ChannelSpec(2), 99, 1e-6)
         with pytest.raises(ValueError):
             brute_force_grid_capacity(ChannelSpec(2), 101, 0.0)
+        # NaN fails every comparison, so it would otherwise run the whole
+        # iteration cap and report a gap of nan
+        with pytest.raises(ValueError, match="tol"):
+            brute_force_grid_capacity(ChannelSpec(2), 101, math.nan)
+        with pytest.raises(ValueError, match="max_iters"):
+            brute_force_grid_capacity(ChannelSpec(2), 101, 1e-6, max_iters=-1)
 
     def test_iteration_cap_raises(self):
         with pytest.raises(RuntimeError):
@@ -100,20 +107,20 @@ class TestGridOracle:
         # lower than the one before, so every accelerated candidate in that
         # window reads as a loss and must give way to a plain Blahut-Arimoto
         # step from the previous iterate.
-        information, plain_step = oracles._information, oracles._plain_step
+        information_value, plain_step = oracles._information_value, oracles._plain_step
         seen, plain = [], []
 
-        def spy_information(*args):
-            info, D = information(*args)
+        def spy_information_value(*args):
+            info = information_value(*args)
             seen.append(info)
-            return (info - 10.0 * len(seen) if len(seen) <= 40 else info), D
+            return info - 10.0 * len(seen) if len(seen) <= 40 else info
 
         def spy_plain_step(*args):
             out = plain_step(*args)
             plain.append(seen[-1])  # the true I of the plain step's result
             return out
 
-        monkeypatch.setattr(oracles, "_information", spy_information)
+        monkeypatch.setattr(oracles, "_information_value", spy_information_value)
         monkeypatch.setattr(oracles, "_plain_step", spy_plain_step)
         gap = 1e-6
         got = brute_force_grid_capacity(ChannelSpec(3), 1001, gap)
@@ -121,6 +128,48 @@ class TestGridOracle:
         assert np.all(np.diff(plain) > 0)
         # 0, 1/2 and 1 are grid points, so the grid capacity is the true one
         assert math.log(19 / 8) - gap <= got <= math.log(19 / 8)
+
+    @pytest.mark.parametrize("n", [1, 16, 93])
+    def test_information_value_matches_densities(self, n):
+        # I(w) = w.H - q.log q needs no channel product; it must agree with
+        # the density form w.D, also where weights are exactly zero
+        xs = np.linspace(0.0, 1.0, 4097)
+        logP = log_pmf_matrix(ChannelSpec(n), xs)
+        P = np.exp(logP)
+        with np.errstate(invalid="ignore"):
+            H = np.sum(np.where(P > 0, P * logP, 0.0), axis=1)
+        rng = np.random.default_rng(n)
+        for zeros in (0, 100, 4000):
+            w = rng.random(4097)
+            w[rng.choice(4097, zeros, replace=False)] = 0.0
+            w /= w.sum()
+            q = w @ P
+            info, _ = oracles._information(w, q, P, H)
+            assert abs(oracles._information_value(w, q, H) - info) <= 1e-14
+
+    def test_densities_formed_only_at_certificates_and_plain_steps(self, monkeypatch):
+        # an iteration takes two channel products (the look-ahead densities
+        # and z P); the candidate's I comes from _information_value, and the
+        # density form runs only at a certificate (I(z) and I(x)) and when a
+        # plain step is taken
+        information = oracles._information
+        information_value = oracles._information_value
+        plain_step = oracles._plain_step
+        calls = {"information": 0, "value": 0, "plain": 0}
+
+        def count(name, f):
+            def spy(*args):
+                calls[name] += 1
+                return f(*args)
+            return spy
+
+        monkeypatch.setattr(oracles, "_information", count("information", information))
+        monkeypatch.setattr(oracles, "_information_value", count("value", information_value))
+        monkeypatch.setattr(oracles, "_plain_step", count("plain", plain_step))
+        brute_force_grid_capacity(ChannelSpec(3), 1001, 1e-6)
+        candidates = calls["value"] - calls["plain"]
+        assert candidates > 0
+        assert calls["information"] <= 2 * (candidates // 50 + 1) + calls["plain"]
 
     @pytest.mark.parametrize("tol", [1e-5, 1e-6])
     @pytest.mark.parametrize("n", [1, 2, 3])
