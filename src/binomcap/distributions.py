@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import xlogy
 
-from .kernel import ChannelSpec, log_binom_coeffs, log_pmf_matrix
+from .kernel import ChannelSpec, _output_counts, log_binom_coeffs, log_pmf_matrix
 
 MIN_ATOM_GAP = 1e-12
 WEIGHT_SUM_TOL = 1e-12
@@ -118,8 +118,7 @@ def _logsumexp(a: np.ndarray) -> np.ndarray:
 
 def log_output_pmf(dist: DiscreteInput, spec: ChannelSpec) -> np.ndarray:
     """Log of the induced output pmf, log C(n, y) + log E[X^y (1-X)^(n-y)]."""
-    y = np.arange(spec.n + 1)
-    return log_binom_coeffs(spec.n) + log_mixed_moments(dist, y, spec.n - y)
+    return log_binom_coeffs(spec.n) + log_mixed_moments(dist, *_output_counts(spec.n))
 
 
 def induce_output(dist: DiscreteInput, spec: ChannelSpec) -> OutputPmf:
@@ -177,9 +176,8 @@ def _info_terms(spec: ChannelSpec, xs: np.ndarray, logP: np.ndarray, P: np.ndarr
     over a zeroed full-width row that holds the window's cells in place.
     """
     n = spec.n
-    if start is None:
-        y = np.arange(n + 1)
-    else:
+    y, ny = _output_counts(n)
+    if start is not None:
         y = start[:, None] + np.arange(logP.shape[1])
         logq = logq[y]
     ival = _row_sums(_density_cells(logP, P, logq), start, n)
@@ -187,13 +185,14 @@ def _info_terms(spec: ChannelSpec, xs: np.ndarray, logP: np.ndarray, P: np.ndarr
         return ival
     if start is not None:
         y, logq, start = y[interior], logq[interior], start[interior]
+        ny = n - y
     xi = xs[interior][:, None]
     Pi = P[interior]
     t = (y - n * xi) / (xi * (1.0 - xi))
     Pp = Pi * t
     d = logP[interior] - logq
     ip = _row_sums(Pp * d, start, n)
-    Ppp = Pi * (t * t - y / xi ** 2 - (n - y) / (1.0 - xi) ** 2)
+    Ppp = Pi * (t * t - y / xi ** 2 - ny / (1.0 - xi) ** 2)
     return ival, Pp, ip, _row_sums(Ppp * d, start, n) + _row_sums(Pp * t, start, n)
 
 

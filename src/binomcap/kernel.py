@@ -59,6 +59,15 @@ def log_binom_coeffs(n: int) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=64)
+def _output_counts(n: int) -> np.ndarray:
+    """Rows y and n - y for the outputs y = 0..n, as floats, cached per n;
+    the array is read-only."""
+    out = np.array([np.arange(n + 1), np.arange(n, -1, -1)], dtype=float)
+    out.setflags(write=False)
+    return out
+
+
 def log_pmf_matrix(spec: ChannelSpec, xs, lo=None, width: int = 0) -> np.ndarray:
     """Log-pmf rows for an array of inputs; shape (len(xs), n+1).
 
@@ -74,18 +83,19 @@ def log_pmf_matrix(spec: ChannelSpec, xs, lo=None, width: int = 0) -> np.ndarray
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     n = spec.n
-    y = np.arange(n + 1, dtype=float)
+    y, ny = _output_counts(n)
     lbc = log_binom_coeffs(n)
     if lo is not None:
         yi = np.asarray(lo)[:, None] + np.arange(width)
         y, lbc = y[yi], lbc[yi]
+        ny = n - y
     at0 = xs == 0.0
     at1 = xs == 1.0
     # endpoint rows are overwritten below; 0.5 keeps their logs finite
     xr = np.where(at0 | at1, 0.5, xs)[:, None]
     out = y * xlogy(1.0, xr)
     out += lbc
-    out += (n - y) * xlog1py(1.0, -xr)
+    out += ny * xlog1py(1.0, -xr)
     for k in np.flatnonzero(at0 | at1):  # certain of y = 0 (x = 0) or y = n (x = 1)
         out[k] = np.where((y if lo is None else y[k]) == n * at1[k], 0.0, -np.inf)
     return out

@@ -9,9 +9,9 @@ interior pairs and a centre atom.  The solve works in three layers:
 
 1. about 2 sqrt(n) atoms seed the solve: the endpoints, the first interior
    atom at the optimum's edge gap phi = 2 arcsin sqrt(x) = pi / sqrt(n),
-   and the rest equally spaced in phi up to its mirror image; Blahut-Arimoto
-   on those atoms sets their masses and the ascent of layer 2 moves them,
-   once per solve;
+   and the rest equally spaced in phi up to its mirror image; one
+   Blahut-Arimoto update sets their masses and the ascent of layer 2 moves
+   them, once per solve;
 2. a damped semismooth Newton iteration on the optimality conditions
    polishes masses and positions; the last orbit sits at 1/2 - sqrt(s), so
    one regular unknown covers a centre atom (s = 0) and a pair, and Newton
@@ -35,6 +35,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -53,9 +54,7 @@ log = logging.getLogger(__name__)
 
 _TINY_Q = 1e-300
 _DEAD_WEIGHT = 1e-40   # Blahut-Arimoto weight floor: no weight goes subnormal
-_BA_TOL = 1e-10        # duality gap at which Blahut-Arimoto on the support stops
 _MERGE_RADIUS = 1e-4   # half-support atoms at most this far apart merge
-_PRUNE_WEIGHT = 1e-12  # the seed's BA drop rule drops orbits lighter than this
 
 
 @dataclass(frozen=True)
@@ -67,10 +66,11 @@ class SolverConfig:
     max_outer_iters: int = 200
 
     def __post_init__(self):
-        if not self.kkt_tol > 0:
-            raise ValueError("kkt_tol must be positive")
-        if self.max_outer_iters < 1:
-            raise ValueError("max_outer_iters must be at least 1")
+        if not 0 < self.kkt_tol < math.inf:
+            raise ValueError(f"kkt_tol must be positive and finite, got {self.kkt_tol}")
+        m = self.max_outer_iters
+        if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
+            raise ValueError(f"max_outer_iters must be an integer >= 1, got {m!r}")
 
 
 @dataclass(frozen=True)
@@ -141,17 +141,16 @@ def _mirror_mix(P: np.ndarray) -> np.ndarray:
 
 
 def _ba_core(spec: ChannelSpec, xs: np.ndarray, tol: float, max_iters: int,
-             defect_tol: float | None = None, orbits: bool = False):
+             orbits: bool = False):
     """Plain BA update w <- w exp(D - max D), renormalised and floored at
     1e-40 so that no weight goes subnormal (which slows a fine grid to a
     crawl; a solver support never nears the floor).  Stops once max D - w.D
-    <= tol and, given defect_tol, |D - w.D| <= defect_tol at every weight of
-    at least 1e-9.  At the cap, w is one update past the iterate that
-    capacity_low, capacity_high and D describe.
+    <= tol.  At the cap, w is one update past the iterate that capacity_low
+    and capacity_high describe.
 
     With orbits=True each x in [0, 1/2] stands for its orbit {x, 1 - x},
     starting from the orbit sums of a uniform start on the points of [0, 1].
-    Returns (w, capacity_low, capacity_high, iterations, D, converged).
+    Returns (w, capacity_low, capacity_high, iterations, converged).
     """
     xs = np.asarray(xs, dtype=float)
     logP = log_pmf_matrix(spec, xs)
@@ -165,14 +164,11 @@ def _ba_core(spec: ChannelSpec, xs: np.ndarray, tol: float, max_iters: int,
         D = rowH - P @ np.log(np.maximum(w @ P, _TINY_Q))
         lo = float(w @ D)
         hi = float(D.max())
-        ok = hi - lo <= tol
-        if ok and defect_tol is not None:
-            ok = float(np.abs(D[w >= 1e-9] - lo).max()) <= defect_tol
-        if ok:
-            return w, lo, hi, it, D, True
+        if hi - lo <= tol:
+            return w, lo, hi, it, True
         w = np.maximum(w * np.exp(D - hi), _DEAD_WEIGHT)
         w /= w.sum()
-    return w, lo, hi, max_iters, D, False
+    return w, lo, hi, max_iters, False
 
 
 def blahut_arimoto(spec: ChannelSpec, grid, tol: float,
@@ -189,8 +185,7 @@ def blahut_arimoto(spec: ChannelSpec, grid, tol: float,
         raise ValueError("support grid needs at least two points")
     if np.any(np.diff(grid) <= 0) or grid[0] < 0 or grid[-1] > 1:
         raise ValueError("support grid must be strictly increasing within [0, 1]")
-    w, lo, hi, iters, _, converged = _ba_core(spec, grid, tol, max_iters)
-    return BAResult(w, lo, hi, iters, converged)
+    return BAResult(*_ba_core(spec, grid, tol, max_iters))
 
 
 # ---------------------------------------------------------------------------
@@ -259,18 +254,24 @@ def _seed_support(spec: ChannelSpec):
 # joint optimality-system Newton on the half support (internal)
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=64)
+def _centre_polys(n: int) -> np.ndarray:
+    """Rows t, P''/P, P'''/P, P''''/P of P(y|1/2), t = d log P/dx = 4y - 2n,
+    t' = -4n, t'' = 8t, t''' = -96n; cached per n, read-only.  Integers of at
+    most 16 n^4 <= 2^52 for n <= 4096, so exact in double."""
+    t = 4 * np.arange(n + 1, dtype=np.int64) - 2 * n
+    out = np.array([t, t * t - 4 * n, t ** 3 + (8 - 12 * n) * t,
+                    t ** 4 + (32 - 24 * n) * t * t + 48 * n * n - 96 * n], dtype=float)
+    out.setflags(write=False)
+    return out
+
+
 def _centre_terms(spec: ChannelSpec, P: np.ndarray, d: np.ndarray):
     """(dR/ds, g', g'') of the centre orbit at s = 0, from P = P(.|1/2) and
-    d = log P - log q: R_s = P''/2, g' = i''/2 and g'' = i''''/12.
-
-    At x = 1/2, t = d log P/dx = 4y - 2n, t' = -4n, t'' = 8t, t''' = -96n.
-    """
-    n = spec.n
-    t = 4.0 * np.arange(n + 1) - 2.0 * n
-    Pt = P * t
-    Ppp = P * (t * t - 4.0 * n)
-    P3 = P * (t ** 3 + (8.0 - 12.0 * n) * t)
-    P4 = P * (t ** 4 + (32.0 - 24.0 * n) * t * t + 48.0 * n * n - 96.0 * n)
+    d = log P - log q: R_s = P''/2, g' = i''/2 and g'' = i''''/12."""
+    polys = _centre_polys(spec.n)
+    t = polys[0]
+    Pt, Ppp, P3, P4 = P * polys
     # i'''' = sum P'''' d + 3 sum P''' t + 3 t' sum P'' + sum P' t'', sum P'' = 0
     i4 = P4 @ d + 3.0 * (P3 @ t) + 8.0 * (Pt @ t)
     return 0.5 * Ppp, 0.5 * (Ppp @ d + Pt @ t), i4 / 12.0
@@ -477,11 +478,11 @@ def _trust_region_step(g: np.ndarray, H: np.ndarray, radius: float):
         # |a / (shift + t)| = radius for a shift t > 0 past max(0, -lam_0),
         # by safeguarded Newton on 1 / |p(t)|, which is concave and increasing
         shift = lam + max(0.0, -lam[0])
-        t_lo, t_hi = 0.0, float(np.linalg.norm(a)) / radius
+        t_lo, t_hi = 0.0, math.sqrt(a @ a) / radius
         t = t_hi
         for _ in range(60):
             p = a / (shift + t)
-            norm = float(np.linalg.norm(p))
+            norm = math.sqrt(p @ p)
             if abs(norm - radius) <= 1e-6 * radius:
                 break
             if norm > radius:
@@ -495,15 +496,19 @@ def _trust_region_step(g: np.ndarray, H: np.ndarray, radius: float):
     return Q @ p, float(a @ p - 0.5 * (lam * p) @ p), boundary
 
 
+@lru_cache(maxsize=64)
 def _sum_zero_basis(k: int) -> np.ndarray:
     """Orthonormal basis (k x (k - 1)) of the vectors of R^k that sum to 0:
     the columns 2..k of the Householder reflection that maps e_1 onto the
-    unit vector of ones."""
+    unit vector of ones; cached per k, read-only."""
     if k < 2:
-        return np.zeros((k, 0))
-    w = np.full(k, 1.0 / math.sqrt(k))
-    w[0] -= 1.0
-    return (np.eye(k) - 2.0 * np.outer(w, w) / (w @ w))[:, 1:]
+        out = np.zeros((k, 0))
+    else:
+        w = np.full(k, 1.0 / math.sqrt(k))
+        w[0] -= 1.0
+        out = (np.eye(k) - 2.0 * np.outer(w, w) / (w @ w))[:, 1:]
+    out.setflags(write=False)
+    return out
 
 
 def _hold(held: np.ndarray, stops: np.ndarray, K: int):
@@ -592,7 +597,7 @@ def _ascend_information(spec: ChannelSpec, h: np.ndarray, v: np.ndarray):
             # trapezoid rule on the gradients, exact for a quadratic
             delta = np.concatenate([nv - v, nh[1:-1] - h[1:-1], [ns - s]])
             rho = 0.5 * float((g + _ascent_gradient(nv, *residual[1:])) @ delta) / pred
-        step = alpha * float(np.linalg.norm(p))
+        step = alpha * math.sqrt(p @ p)
         if rho < 0.25:
             radius = 0.25 * step
         elif rho > 0.75 and boundary and alpha == 1.0:
@@ -647,9 +652,11 @@ def _refine_peaks(spec: ChannelSpec, logq: np.ndarray, x: np.ndarray,
                   lo: np.ndarray, hi: np.ndarray, best: np.ndarray):
     """Climb each x to the maximum of i in its bracket [lo, hi]: a Newton
     step on i' where i'' < 0 and the step stays in the bracket, else
-    bisection, the bracket shrinking by the sign of i'.  `best` holds i at
-    x; returns the point of each bracket with the largest i evaluated, and
-    that i.  Overwrites x, lo, hi and best.
+    bisection, the bracket shrinking by the sign of i', until a step is below
+    1e-12 or a Newton step's model gain |i' dx| / 2 is below i's rounding,
+    1e-16 max(1, |i|).  `best` holds i at x; returns the point of each
+    bracket with the largest i evaluated, and that i.  Overwrites x, lo, hi
+    and best.
 
     Where even the centre row's Bernstein window is narrow (n >= 643), each
     round takes its rows on their windows as the density sweep does, and
@@ -676,9 +683,11 @@ def _refine_peaks(spec: ChannelSpec, logq: np.ndarray, x: np.ndarray,
         with np.errstate(divide="ignore", invalid="ignore"):
             nx = xt - ip / ipp
         newton = (ipp < 0.0) & (nx >= lo[todo]) & (nx <= hi[todo])
+        gain = 0.5 * np.abs(ip * (nx - xt))
+        floor = newton & (gain <= 1e-16 * np.maximum(1.0, np.abs(ival)))
         nx = np.where(newton, nx, 0.5 * (lo[todo] + hi[todo]))
         x[todo] = nx
-        todo = todo[np.abs(nx - xt) > 1e-12]
+        todo = todo[(np.abs(nx - xt) > 1e-12) & ~floor]
     return at, best
 
 
@@ -693,8 +702,8 @@ def _certify(dist: DiscreteInput, spec: ChannelSpec,
     peaks: (x, i) of the refined maxima and of the endpoints that are grid
     maxima, and the log output pmf of dist.
     """
-    if not tol > 0.0:
-        raise ValueError(f"KKT tolerance must be positive, got {tol}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"KKT tolerance must be positive and finite, got {tol}")
     n = spec.n
     logq = log_output_pmf(dist, spec)
     xs = np.union1d(_cert_grid(n), dist.points)
@@ -801,16 +810,16 @@ def _report(spec: ChannelSpec, dist: DiscreteInput, summary: KktSummary, logq: n
 def solve_capacity(spec: ChannelSpec, config: SolverConfig | None = None) -> SolveReport:
     """Compute the capacity and the capacity-achieving input distribution.
 
-    Blahut-Arimoto sets the masses of the seed support and the ascent of I
-    moves it, once; then each outer iteration of `_refine` polishes the
-    half support (`_polish`) until the certification (`_certify`) shows both
-    KKT conditions holding to config.kkt_tol, and an escape atom goes in at
-    the largest peak of the information density that still exceeds the
-    capacity estimate.  The loop stops at config.max_outer_iters, or at the
-    first outer iteration with no such peak.  The solve state is a half
-    support (module docstring); it becomes an input on [0, 1] only for
-    certification and the report.  For n = 1 the known two-point solution
-    is returned.
+    One Blahut-Arimoto update sets the masses of the seed support and the
+    ascent of I moves it, once; then each outer iteration of `_refine`
+    polishes the half support (`_polish`) until the certification
+    (`_certify`) shows both KKT conditions holding to config.kkt_tol, and an
+    escape atom goes in at the largest peak of the information density that
+    still exceeds the capacity estimate.  The loop stops at
+    config.max_outer_iters, or at the first outer iteration with no such
+    peak.  The solve state is a half support (module docstring); it becomes
+    an input on [0, 1] only for certification and the report.  For n = 1 the
+    known two-point solution is returned.
     """
     return _solve(spec, config or SolverConfig())[0]
 
@@ -864,13 +873,9 @@ def _solve(spec: ChannelSpec, config: SolverConfig):
         return report_for_distribution(dist, spec, config.kkt_tol), None
 
     h, _ = _seed_support(spec)
-    v, lo, hi, _, D, _ = _ba_core(spec, h, _BA_TOL, max_iters=3000,
-                                  defect_tol=config.kkt_tol / 2, orbits=True)
-    drop = ((v < 1e-6) & (D < lo - 10 * max(hi - lo, config.kkt_tol))) | (v < _PRUNE_WEIGHT)
-    drop[0] = False
-    h, v = h[~drop], v[~drop] / v[~drop].sum()
-    # from the BA masses Newton mostly stalls: ascend first, so that the
-    # first polish starts within its reach
+    # one BA update of the uniform start, as the ascent re-optimizes the
+    # masses; Newton mostly stalls from there, so ascend before the first polish
+    v = _ba_core(spec, h, -np.inf, max_iters=1, orbits=True)[0]
     h, v = _merge_half(*_ascend_information(spec, h, v))
     report, half = _refine(spec, h, v, config.kkt_tol, config.max_outer_iters)
     if half is None:

@@ -42,6 +42,14 @@ class TestSolveCommand:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("flag, value", [("--kkt-tol", "inf"), ("--kkt-tol", "nan"),
+                                             ("--max-outer-iters", "0")])
+    def test_rejects_solver_settings(self, capsys, flag, value):
+        code, out, err = run_cli(capsys, "solve", "--n", "4", flag, value)
+        assert code == 2
+        assert out == ""
+        assert flag[2:].replace("-", "_") in err
+
     def test_nonconvergence_exit_code(self, capsys):
         # n = 30 takes two outer iterations to certify (n = 64 takes one)
         code, out, _ = run_cli(capsys, "solve", "--n", "30", "--max-outer-iters", "1")
@@ -148,6 +156,7 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("flag, value, reason", [
         ("--kkt-tol", "0", "tolerance must be positive"),
+        ("--kkt-tol", "inf", "must be positive and finite"),
     ])
     def test_rejects_degenerate_certificate(self, capsys, tmp_path, flag, value, reason):
         # n = 2 capacity is log(17/8) > log 2, so this input is not optimal

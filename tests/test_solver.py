@@ -22,6 +22,7 @@ from binomcap import (
 )
 from binomcap import solver
 from binomcap.serialize import dumps
+from binomcap.kernel import _output_counts
 from binomcap.solver import _ba_core, _kkt_residual, _kkt_system
 
 
@@ -41,6 +42,20 @@ class TestSolverConfig:
     def test_nan_tolerance_rejected(self):
         with pytest.raises(ValueError):
             SolverConfig(kkt_tol=float("nan"))
+
+    def test_infinite_tolerance_rejected(self):
+        # an infinite tolerance would switch the certification gate off
+        with pytest.raises(ValueError, match="finite"):
+            SolverConfig(kkt_tol=float("inf"))
+
+    @pytest.mark.parametrize("budget", [2.5, True, 0, -1, "3"])
+    def test_budget_must_be_a_positive_integer(self, budget):
+        # 2.5 used to fail later in range(), and True to run as 1
+        with pytest.raises(ValueError, match="max_outer_iters"):
+            SolverConfig(max_outer_iters=budget)
+
+    def test_numpy_integer_budget_accepted(self):
+        assert SolverConfig(max_outer_iters=np.int64(3)).max_outer_iters == 3
 
 
 class TestBlahutArimoto:
@@ -342,12 +357,60 @@ class TestSeedSupport:
         h, _ = solver._seed_support(ChannelSpec(n))
         assert abs(h[1] - math.sin(math.pi / (2 * math.sqrt(n))) ** 2) <= 1e-15
 
+    @pytest.mark.parametrize("n", [2, 3, 128])
+    def test_cold_solve_runs_one_blahut_arimoto_update(self, solved, n, monkeypatch):
+        calls = []
+        ba = solver._ba_core
+
+        def spy(spec, xs, tol, max_iters, **kwargs):
+            calls.append(max_iters)
+            return ba(spec, xs, tol, max_iters, **kwargs)
+
+        monkeypatch.setattr(solver, "_ba_core", spy)
+        report = solve_capacity(ChannelSpec(n))
+        assert calls == [1]
+        # the same answer as the shared `solved` fixture's, at a Newton solution
+        assert report.to_dict() == solved(n).to_dict()
+        assert report.kkt_slack <= 1e-12 and report.equality_defect <= 1e-12
+
     @pytest.mark.parametrize("n", [80, 128])
     def test_cold_solve_certifies_in_one_outer_iteration(self, solved, n):
         report = solved(n)
         assert report.converged and report.iterations == 1
         # at a Newton solution
         assert report.kkt_slack <= 1e-12 and report.equality_defect <= 1e-12
+
+
+class TestCachedConstants:
+    @pytest.mark.parametrize("n", [1, 2, 128, 4096])
+    def test_per_n_arrays_are_read_only_and_equal_their_formulas(self, n):
+        y, ny = _output_counts(n)
+        assert _output_counts(n) is _output_counts(n)
+        assert np.array_equal(y, np.arange(n + 1)) and np.array_equal(ny, n - np.arange(n + 1))
+        polys = solver._centre_polys(n)
+        assert solver._centre_polys(n) is polys
+        # in double, as the formulas were written out per call before
+        t = 4.0 * np.arange(n + 1) - 2.0 * n
+        assert np.array_equal(polys, [t, t * t - 4.0 * n, t ** 3 + (8.0 - 12.0 * n) * t,
+                                      t ** 4 + (32.0 - 24.0 * n) * t * t + 48.0 * n * n - 96.0 * n])
+        # and exact: the integers of the polynomials in y
+        yi = [int(v) for v in range(n + 1)]
+        ti = [4 * v - 2 * n for v in yi]
+        assert [int(p) for p in polys[3]] == [u ** 4 + (32 - 24 * n) * u * u + 48 * n * n - 96 * n
+                                              for u in ti]
+        for arr in (y, ny, polys):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 40])
+    def test_sum_zero_basis_is_read_only_and_orthonormal(self, k):
+        B = solver._sum_zero_basis(k)
+        assert solver._sum_zero_basis(k) is B
+        assert not B.flags.writeable
+        assert B.shape == (k, k - 1)
+        assert np.allclose(B.T @ B, np.eye(k - 1), atol=1e-14)
+        assert np.allclose(B.sum(axis=0), 0.0, atol=1e-14)
 
 
 class TestAscent:
@@ -412,9 +475,10 @@ class TestAscent:
         assert np.linalg.norm(p) <= 1.0 and gain > 0.0
 
     def test_ascent_from_the_seed_reaches_newton(self):
+        # from the seed's masses after one Blahut-Arimoto update, as in a cold solve
         spec = ChannelSpec(128)
         h, _ = solver._seed_support(spec)
-        v = _ba_core(spec, h, solver._BA_TOL, 3000, defect_tol=5e-9, orbits=True)[0]
+        v = _ba_core(spec, h, -np.inf, 1, orbits=True)[0]
         nh, nv = solver._ascend_information(spec, h, v)
         info = solver._information(v, _kkt_residual(spec, h, v, 0.0)[1])
         assert solver._information(nv, _kkt_residual(spec, nh, nv, 0.0)[1]) >= info
@@ -572,7 +636,7 @@ class TestKktVerify:
             report_for_distribution(dist, ChannelSpec(2), converged=True)
 
     def test_rejects_nonpositive_tol(self, table_dists):
-        for tol in (0.0, -1e-8, float("nan")):
+        for tol in (0.0, -1e-8, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="tolerance must be positive"):
                 report_for_distribution(table_dists[2], ChannelSpec(2), tol=tol)
 
@@ -648,6 +712,23 @@ class TestCertificate:
             _, full_x, full_i, _ = solver._certify(dist, spec, 1e-8)
             assert np.array_equal(x, full_x) and np.array_equal(i, full_i)
         assert min(widths) > 0  # every refinement round ran on the window
+
+    def test_refinement_stops_at_the_rounding_of_i(self, solved, monkeypatch):
+        # at the n = 256 optimum every peak is an atom of the grid, where
+        # Newton's model gain is rounding noise; bisecting on the sign of i'
+        # there took 17 rounds
+        spec, dist = ChannelSpec(256), solved(256).input
+        rounds = []
+        kernel = solver.log_pmf_matrix
+
+        def spy(*args):
+            rounds.append(1)
+            return kernel(*args)
+
+        monkeypatch.setattr(solver, "log_pmf_matrix", spy)
+        summary = solver._certify(dist, spec, 1e-8)[0]
+        assert len(rounds) <= 5
+        assert summary.slack <= 1e-12
 
     # the refined peaks must see at least what the 20490-point uniform sweep
     # saw, up to rounding of i (relative: slacks reach hundreds of nats)
