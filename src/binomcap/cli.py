@@ -34,10 +34,11 @@ def _solver_config(args) -> SolverConfig:
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--kkt-tol", type=float, default=1e-8,
-                   help="certified KKT slack target (default 1e-8)")
-    p.add_argument("--max-outer-iters", type=int, default=200,
-                   help="outer iteration cap (default 200)")
+    tol = np.format_float_scientific(SolverConfig.kkt_tol, trim="-", exp_digits=1)
+    p.add_argument("--kkt-tol", type=float, default=SolverConfig.kkt_tol,
+                   help=f"certified KKT slack target (default {tol})")
+    p.add_argument("--max-outer-iters", type=int, default=SolverConfig.max_outer_iters,
+                   help=f"outer iteration cap (default {SolverConfig.max_outer_iters})")
 
 
 def _add_output_flags(p: argparse.ArgumentParser) -> None:
@@ -74,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dist", required=True,
                    help='JSON file with {"points": [...], "weights": [...]} '
                         '(a solve report with "support" also works)')
-    p.add_argument("--kkt-tol", type=float, default=1e-8)
+    p.add_argument("--kkt-tol", type=float, default=SolverConfig.kkt_tol)
     _add_output_flags(p)
 
     p = sub.add_parser("sweep", help="solve n = 1..n-max and emit a CSV summary")

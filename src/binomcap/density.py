@@ -1,14 +1,20 @@
 """Derivatives of the information density x -> i(x; P_Y) and zero counting.
 
-The first derivative uses the reduced-trial-count conditional-mean form
-(posterior means under an (n-1)-trial channel); the second derivative uses
-the n-trial conditional means.  Both reduce to log-moment ratios of the input
-distribution, so they stay finite whenever the induced output pmf is strictly
-positive.  Terms whose binomial weight underflows double precision (below
-~1e-300) drop out of the expectations automatically.
+i, i' and i'' all come from the one chunked sweep of the channel rows
+(`distributions._info_density_against_logq`, on the kernel
+`distributions._info_terms`): with t = d log P(y|x) / dx,
+
+    i'  = sum_y P t (log P - log q),
+    i'' = sum_y P (t^2 + dt/dx) (log P - log q) + P t^2,
+
+against the output pmf q of the input, with the Bernstein windows and
+chunking of the density sweep, so one call holds one chunk of cells at a
+time.  The paper writes the same derivatives as conditional-mean (log
+moment-ratio) identities; the tests keep those forms as the reference.
 
 Derivatives are undefined at x in {0, 1} (the log(x/(1-x)) term diverges);
-callers get a domain error there.
+callers get a domain error there, and an UndefinedPosteriorError where the
+induced output pmf vanishes.
 """
 
 from __future__ import annotations
@@ -21,12 +27,10 @@ import numpy as np
 from .distributions import (
     DiscreteInput,
     UndefinedPosteriorError,
-    log_mixed_moments,
     log_output_pmf,
-    log_posterior_mean_pair,
     _info_density_against_logq,
 )
-from .kernel import ChannelSpec, log_pmf_matrix
+from .kernel import ChannelSpec
 from .serialize import csv_text
 
 
@@ -60,43 +64,26 @@ def _require_positive_output(dist: DiscreteInput, spec: ChannelSpec) -> np.ndarr
     return logq
 
 
+def _derivatives(x, dist: DiscreteInput, spec: ChannelSpec):
+    """(i', i'') at interior x, from one sweep of the channel rows."""
+    xs = _check_interior(x)
+    logq = _require_positive_output(dist, spec)
+    return _info_density_against_logq(spec, xs, logq, derivatives=True)[1:]
+
+
 def info_density_prime(x, dist: DiscreteInput, spec: ChannelSpec):
     """d/dx i(x; P_Y) for the output induced by dist; scalar or array x."""
-    xs = _check_interior(x)
-    n = spec.n
-    _require_positive_output(dist, spec)
-    if n >= 2:
-        lpx, lp1mx = log_posterior_mean_pair(dist, ChannelSpec(n - 1))
-        log_ratio = lp1mx - lpx
-        pm = np.exp(log_pmf_matrix(ChannelSpec(n - 1), xs))
-        vals = n * np.log(xs / (1.0 - xs)) + n * (pm @ log_ratio)
-    else:
-        # single-trial form: the conditional-mean ratio collapses to E[1-X]/E[X]
-        l1mx = log_mixed_moments(dist, np.asarray(0.0), np.asarray(1.0))
-        lx = log_mixed_moments(dist, np.asarray(1.0), np.asarray(0.0))
-        vals = np.log(xs / (1.0 - xs)) + float(l1mx - lx)
+    vals = _derivatives(x, dist, spec)[0]
     return float(vals[0]) if np.isscalar(x) else vals
 
 
 def info_density_second(x, dist: DiscreteInput, spec: ChannelSpec):
-    """d^2/dx^2 i(x; P_Y): n/(x(1-x)) plus a conditional-mean correction.
+    """d^2/dx^2 i(x; P_Y) for the output induced by dist; scalar or array x.
 
-    The correction averages (n-Y)(n-Y-1) times a log-ratio of adjacent
-    posterior means over outputs y <= n-2; it vanishes identically for n = 1.
+    It equals n/(x(1-x)) plus a conditional-mean correction that vanishes
+    identically for n = 1.
     """
-    xs = _check_interior(x)
-    n = spec.n
-    _require_positive_output(dist, spec)
-    base = n / (xs * (1.0 - xs))
-    if n >= 2:
-        lpx, lp1mx = log_posterior_mean_pair(dist, spec)
-        ys = np.arange(n - 1)
-        log_term = lpx[ys] - lp1mx[ys + 1] + lp1mx[ys + 2] - lpx[ys + 1]
-        coef = (n - ys) * (n - ys - 1.0)
-        pm = np.exp(log_pmf_matrix(spec, xs))[:, : n - 1]
-        vals = base + (pm @ (coef * log_term)) / (1.0 - xs) ** 2
-    else:
-        vals = base
+    vals = _derivatives(x, dist, spec)[1]
     return float(vals[0]) if np.isscalar(x) else vals
 
 
@@ -156,9 +143,4 @@ def density_curve(dist: DiscreteInput, spec: ChannelSpec, grid_size: int = 1001)
         raise ValueError("grid_size must be at least 3")
     grid = np.linspace(0.0, 1.0, grid_size)
     logq = _require_positive_output(dist, spec)
-    values = _info_density_against_logq(spec, grid, logq)
-    d1 = np.full(grid_size, np.nan)
-    d2 = np.full(grid_size, np.nan)
-    d1[1:-1] = info_density_prime(grid[1:-1], dist, spec)
-    d2[1:-1] = info_density_second(grid[1:-1], dist, spec)
-    return DensityCurve(grid, values, d1, d2)
+    return DensityCurve(grid, *_info_density_against_logq(spec, grid, logq, derivatives=True))

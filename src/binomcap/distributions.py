@@ -240,9 +240,11 @@ def _row_window(n: int, lo: np.ndarray, hi: np.ndarray):
     return np.minimum(lo, n + 1 - w), w
 
 
-def _info_density_against_logq(spec: ChannelSpec, xs, logq: np.ndarray) -> np.ndarray:
+def _info_density_against_logq(spec: ChannelSpec, xs, logq: np.ndarray,
+                               derivatives: bool = False):
     """i(x) = D(P(.|x) || q) for an array of x, given log q, swept in chunks
-    of rows.
+    of rows; with `derivatives`, (i, i', i'') from the same sweep, i' and
+    i'' NaN at x = 0 and 1, where they diverge.
 
     A chunk whose Bernstein windows |y - n x| <= t(x) are narrow computes
     its cells on the window only, y = lo + arange(w) with w the widest
@@ -251,18 +253,26 @@ def _info_density_against_logq(spec: ChannelSpec, xs, logq: np.ndarray) -> np.nd
     sweep, each cell it drops is below e^-60 (60 + |log q|), and i is bit
     for bit the full-row sum (the tests check this against a where-form
     sweep up to n = 4096).  A cell's value does not depend on the chunk its
-    row falls in; the chunk sets only which of these tiny cells are kept."""
+    row falls in; the chunk sets only which of these tiny cells are kept.
+    The derivative rows of `_info_terms` drop the same cells, and no kernel
+    call holds more than one chunk of cells."""
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     n = spec.n
     out = np.empty(len(xs))
+    ip, ipp = np.full((2, len(xs) if derivatives else 0), np.nan)
     lo, hi = _bernstein_window(n, xs)
     step = max(1, _CHUNK_CELLS // (n + 1))
     for s in range(0, len(xs), step):
         x = xs[s:s + step]
         start, w = _row_window(n, lo[s:s + step], hi[s:s + step])
         logP = log_pmf_matrix(spec, x, start, w)
-        out[s:s + step] = _info_terms(spec, x, logP, np.exp(logP), logq, start=start)
-    return out
+        if derivatives:
+            k = np.flatnonzero((x > 0.0) & (x < 1.0))
+            out[s:s + step], _, ip[s + k], ipp[s + k] = _info_terms(
+                spec, x, logP, np.exp(logP), logq, k, start=start)
+        else:
+            out[s:s + step] = _info_terms(spec, x, logP, np.exp(logP), logq, start=start)
+    return (out, ip, ipp) if derivatives else out
 
 
 def info_density(x, out: OutputPmf, spec: ChannelSpec):
@@ -292,21 +302,6 @@ def log_mixed_moments(dist: DiscreteInput, a, b) -> np.ndarray:
     lw = np.log(dist.weights)
     terms = lw + xlogy(a[..., None], dist.points) + xlogy(b[..., None], 1.0 - dist.points)
     return _logsumexp(terms)
-
-
-def log_posterior_mean_pair(dist: DiscreteInput, spec: ChannelSpec):
-    """(log E[X | Y=y], log E[1-X | Y=y]) for y = 0..n under an n-trial channel.
-
-    Entries are -inf where the conditional mean is exactly 0; a y whose output
-    probability vanishes yields NaN in both slots.
-    """
-    n = spec.n
-    y = np.arange(n + 1)
-    den = log_mixed_moments(dist, y, n - y)
-    with np.errstate(invalid="ignore"):
-        lpx = log_mixed_moments(dist, y + 1, n - y) - den
-        lp1mx = log_mixed_moments(dist, y, n - y + 1) - den
-    return lpx, lp1mx
 
 
 def posterior_mean(dist: DiscreteInput, spec: ChannelSpec, y: int) -> float:

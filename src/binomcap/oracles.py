@@ -133,7 +133,8 @@ def brute_force_grid_capacity(spec: ChannelSpec, grid_points: int, tol: float,
     matrix P.  So an iteration takes two products with P: the densities
     D(y) = H - P log q_y from the mixed pmf q_y, and q_z = z P.  The
     densities of x itself are formed only at the 50-iteration certificate
-    and at a plain step.
+    (one product, where I(z) is compared with I(x) from q_z alone) and at
+    a plain step.
     """
     if grid_points < 101 or grid_points % 2 == 0:
         raise ValueError("grid_points must be odd and at least 101")
@@ -150,9 +151,8 @@ def brute_force_grid_capacity(spec: ChannelSpec, grid_points: int, tol: float,
     qz, lo, k = z @ P, -math.inf, 0
     for it in range(max_iters + 1):
         if it % _CHECK_EVERY == 0 or it == max_iters:
-            if _information(z, qz, P, H)[0] > lo:
-                x = z
-            qx = x @ P
+            if _information_value(z, qz, H) > lo:
+                x, qx = z, qz
             lo, Dx = _information(x, qx, P, H)
             if float(Dx.max()) - lo <= tol:
                 return lo

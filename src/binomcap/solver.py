@@ -723,14 +723,17 @@ def _certify(dist: DiscreteInput, spec: ChannelSpec,
     slack = float(peak_i.max() - cap)
     active = [float(x) for x in peak_x[np.abs(peak_i - cap) <= tol]]
 
+    # each atom's mirror 1 - x against the nearer of its sorted neighbours
+    # (the lower on a tie): an unmatched atom counts its weight, a matched
+    # pair its weight difference
     pts, wts = dist.points, dist.weights
-    sym_defect = 0.0
-    for xk, wk in zip(pts, wts):
-        j = int(np.argmin(np.abs(pts - (1.0 - xk))))
-        if abs(pts[j] - (1.0 - xk)) > 1e-9:
-            sym_defect = max(sym_defect, wk)
-        else:
-            sym_defect = max(sym_defect, abs(wk - wts[j]))
+    mirror = 1.0 - pts
+    hi = np.minimum(np.searchsorted(pts, mirror), len(pts) - 1)
+    lo = np.maximum(hi - 1, 0)
+    gap_lo, gap_hi = np.abs(pts[lo] - mirror), np.abs(pts[hi] - mirror)
+    j = np.where(gap_lo <= gap_hi, lo, hi)
+    sym_defect = float(np.where(np.minimum(gap_lo, gap_hi) > 1e-9, wts,
+                                np.abs(wts - wts[j])).max())
 
     lower_edge = int(np.sum((pts > 0.0) & (pts <= 1.0 / n)))
     upper_edge = int(np.sum((pts >= 1.0 - 1.0 / n) & (pts < 1.0)))
@@ -762,7 +765,8 @@ def _certify(dist: DiscreteInput, spec: ChannelSpec,
     return summary, peak_x, peak_i, logq
 
 
-def kkt_verify(report: SolveReport, spec: ChannelSpec, tol: float = 1e-8) -> KktSummary:
+def kkt_verify(report: SolveReport, spec: ChannelSpec,
+               tol: float = SolverConfig.kkt_tol) -> KktSummary:
     """Re-certify a solve report (or any user distribution wrapped in one).
 
     Recomputes the information density and its peaks, and re-derives
@@ -773,7 +777,7 @@ def kkt_verify(report: SolveReport, spec: ChannelSpec, tol: float = 1e-8) -> Kkt
 
 
 def report_for_distribution(dist: DiscreteInput, spec: ChannelSpec,
-                            tol: float = 1e-8) -> SolveReport:
+                            tol: float = SolverConfig.kkt_tol) -> SolveReport:
     """Build a SolveReport around an externally supplied distribution:
     iterations 0, converged where it certifies (the `kkt_equality` flag)."""
     summary, _, _, logq = _certify(dist, spec, tol)

@@ -35,6 +35,12 @@ from binomcap import (
     support_count_identity,
 )
 from binomcap.distributions import DiscreteInput, UndefinedPosteriorError
+from conditional_means import (
+    iprime_reduced_trial_form,
+    isecond_first_derivative_form,
+    isecond_moment_ratio_form,
+    isecond_reduced_trial_form,
+)
 
 
 def check(num, desc, ok, detail=""):
@@ -175,40 +181,18 @@ def test_criterion_06_derivative_correctness(solved, rng):
             ipp = info_density_second(x, dist, spec)
             e2 = abs(ipp - fd2(dist, spec, x)) / (1 + abs(ipp))
             worst2 = max(worst2, e2)
+            alt = iprime_reduced_trial_form(x, dist, spec)[0]
+            worst_alt = max(worst_alt, abs(alt - ip) / (1 + abs(ip)))
+            alts = [isecond_moment_ratio_form(x, dist, spec)[0]]
             if n >= 2:
-                alt = _isecond_via_first_derivative(x, dist, spec)
-                worst_alt = max(worst_alt, abs(alt - ipp) / (1 + abs(ipp)))
+                alts.append(isecond_first_derivative_form(x, dist, spec, ip))
             if n >= 3:
-                alt = _isecond_reduced_trials(x, dist, spec)
+                alts.append(isecond_reduced_trial_form(x, dist, spec))
+            for alt in alts:
                 worst_alt = max(worst_alt, abs(alt - ipp) / (1 + abs(ipp)))
     ok = worst1 <= 1e-5 and worst2 <= 1e-3 and worst_alt <= 1e-9
     check(6, "derivatives match finite differences and the alternative forms",
           ok, f"fd1 {worst1:.1e}, fd2 {worst2:.1e}, alt {worst_alt:.1e}")
-
-
-def _isecond_via_first_derivative(x, dist, spec):
-    from binomcap.distributions import log_posterior_mean_pair
-    from binomcap.kernel import log_pmf_matrix
-    n = spec.n
-    lpx, lp1mx = log_posterior_mean_pair(dist, ChannelSpec(n - 1))
-    ratio = lp1mx - lpx
-    pm = np.exp(log_pmf_matrix(ChannelSpec(n - 1), np.atleast_1d(x)))[0]
-    s = float(np.sum(pm * np.arange(n) * ratio))
-    ip = info_density_prime(x, dist, spec)
-    return n * (1 + s) / (x * (1 - x)) \
-        - (n - 1) / (1 - x) * (ip - n * math.log(x / (1 - x)))
-
-
-def _isecond_reduced_trials(x, dist, spec):
-    from binomcap.distributions import log_posterior_mean_pair
-    from binomcap.kernel import log_pmf_matrix
-    n = spec.n
-    lpx, lp1mx = log_posterior_mean_pair(dist, ChannelSpec(n - 1))
-    ratio = lp1mx - lpx
-    pm = np.exp(log_pmf_matrix(ChannelSpec(n - 2), np.atleast_1d(x)))[0]
-    ys = np.arange(n - 1)
-    s = float(np.sum(pm * (ratio[ys + 1] - ratio[ys])))
-    return n / (x * (1 - x)) + n * (n - 1) * s
 
 
 def test_criterion_07_crest_factor_suite(solved):

@@ -145,6 +145,21 @@ class TestVerifyCommand:
         assert code == 0
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("points,weights,defect", [
+        # 0.3 has no atom at its mirror 0.7: the defect is its weight
+        ([0.0, 0.3, 1.0], [0.4, 0.2, 0.4], 0.2),
+        # 0.25 and 0.75 mirror each other with unequal weights
+        ([0.0, 0.25, 0.75, 1.0], [0.3, 0.15, 0.25, 0.3], abs(0.15 - 0.25)),
+    ], ids=["unmatched-atom", "unequal-mirror-weights"])
+    def test_symmetry_defect(self, capsys, tmp_path, points, weights, defect):
+        dist = tmp_path / "dist.json"
+        dist.write_text(json.dumps({"points": points, "weights": weights}))
+        code, out, _ = run_cli(capsys, "verify", "--n", "6", "--dist", str(dist))
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["symmetry_defect"] == defect
+        assert payload["flags"]["symmetric"] is False
+
     def test_answers_at_max_trials(self, capsys, tmp_path):
         dist = tmp_path / "dist.json"
         dist.write_text(json.dumps({"points": [0.0, 0.2, 0.5, 0.8, 1.0],

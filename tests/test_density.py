@@ -15,8 +15,16 @@ from binomcap import (
     info_density_prime,
     info_density_second,
 )
-from binomcap.distributions import log_posterior_mean_pair
+from binomcap import density, distributions
+from binomcap.distributions import _CHUNK_CELLS
 from binomcap.kernel import log_pmf_matrix
+from conditional_means import (
+    iprime_full_trial_form,
+    iprime_reduced_trial_form,
+    isecond_first_derivative_form,
+    isecond_moment_ratio_form,
+    isecond_reduced_trial_form,
+)
 
 
 def fd_first(dist, spec, x, h=1e-6):
@@ -28,40 +36,6 @@ def fd_second(dist, spec, x, h=1e-4):
     out = induce_output(dist, spec)
     return (info_density(x + h, out, spec) - 2 * info_density(x, out, spec)
             + info_density(x - h, out, spec)) / h**2
-
-
-def iprime_full_trial_form(x, dist, spec):
-    """Cross-check: first-derivative form using n-trial conditional means."""
-    n = spec.n
-    lpx, lp1mx = log_posterior_mean_pair(dist, spec)
-    pm = np.exp(log_pmf_matrix(spec, np.atleast_1d(x)))[0]
-    ys = np.arange(n)
-    total = float(np.sum(pm[ys] * (n - ys) * (lp1mx[ys + 1] - lpx[ys])))
-    return n * math.log(x / (1 - x)) + total / (1 - x)
-
-
-def isecond_first_derivative_form(x, dist, spec):
-    """Cross-check: second derivative written in terms of the first."""
-    n = spec.n
-    lpx, lp1mx = log_posterior_mean_pair(dist, ChannelSpec(n - 1))
-    log_ratio = lp1mx - lpx
-    pm = np.exp(log_pmf_matrix(ChannelSpec(n - 1), np.atleast_1d(x)))[0]
-    ys = np.arange(n)
-    s = float(np.sum(pm * ys * log_ratio))
-    ip = info_density_prime(x, dist, spec)
-    return n * (1 + s) / (x * (1 - x)) \
-        - (n - 1) / (1 - x) * (ip - n * math.log(x / (1 - x)))
-
-
-def isecond_reduced_trial_form(x, dist, spec):
-    """Cross-check (n >= 3): second derivative over an (n-2)-trial expectation."""
-    n = spec.n
-    lpx, lp1mx = log_posterior_mean_pair(dist, ChannelSpec(n - 1))
-    log_ratio = lp1mx - lpx
-    pm = np.exp(log_pmf_matrix(ChannelSpec(n - 2), np.atleast_1d(x)))[0]
-    ys = np.arange(n - 1)
-    s = float(np.sum(pm * (log_ratio[ys + 1] - log_ratio[ys])))
-    return n / (x * (1 - x)) + n * (n - 1) * s
 
 
 class TestBregman:
@@ -106,19 +80,22 @@ class TestFirstDerivative:
         assert abs(got - want) <= 1e-5 * (1 + abs(got))
 
     def test_two_forms_agree(self, rng, table_dists):
-        # reduced-trial-count form (production) vs full-trial-count form
+        # the kernel's i' vs the reduced- and full-trial-count
+        # conditional-mean forms
         for n in range(2, 51, 3):
             dist = table_dists[3] if n % 2 else table_dists[2]
             for x in rng.uniform(0.05, 0.95, size=4):
                 a = info_density_prime(float(x), dist, ChannelSpec(n))
-                b = iprime_full_trial_form(float(x), dist, ChannelSpec(n))
-                assert abs(a - b) <= 1e-9 * (1 + abs(a))
+                for form in (iprime_reduced_trial_form, iprime_full_trial_form):
+                    b = float(np.squeeze(form(float(x), dist, ChannelSpec(n))))
+                    assert abs(a - b) <= 1e-9 * (1 + abs(a))
 
     def test_single_trial(self):
         d = DiscreteInput(np.array([0.2, 0.8]), np.array([0.5, 0.5]))
         spec = ChannelSpec(1)
         got = info_density_prime(0.3, d, spec)
         assert abs(got - fd_first(d, spec, 0.3)) <= 1e-5 * (1 + abs(got))
+        assert got == pytest.approx(iprime_reduced_trial_form(0.3, d, spec)[0], abs=1e-14)
 
     def test_endpoint_rejected(self, table_dists):
         with pytest.raises(ValueError):
@@ -149,12 +126,36 @@ class TestSecondDerivative:
         for n, dist in [(2, table_dists[2]), (3, table_dists[3])]:
             spec = ChannelSpec(n)
             for x in rng.uniform(0.05, 0.95, size=8):
-                a = info_density_second(float(x), dist, spec)
-                b = isecond_first_derivative_form(float(x), dist, spec)
+                x = float(x)
+                a = info_density_second(x, dist, spec)
+                b = isecond_first_derivative_form(x, dist, spec,
+                                                  info_density_prime(x, dist, spec))
+                assert abs(a - b) <= 1e-9 * (1 + abs(a))
+                b = isecond_moment_ratio_form(x, dist, spec)[0]
                 assert abs(a - b) <= 1e-9 * (1 + abs(a))
                 if n >= 3:
-                    c = isecond_reduced_trial_form(float(x), dist, spec)
+                    c = isecond_reduced_trial_form(x, dist, spec)
                     assert abs(a - c) <= 1e-9 * (1 + abs(a))
+
+
+class TestChunkedSweep:
+    def test_kernel_calls_stay_within_one_chunk(self, monkeypatch):
+        # 10001 interior points at n = 4096: each kernel call holds at most
+        # one chunk of cells (or one full row), never a (points x n) matrix
+        n = 4096
+        largest = []
+
+        def spy(spec, xs, lo=None, width=0):
+            largest.append(len(xs) * (width if lo is not None else n + 1))
+            return log_pmf_matrix(spec, xs, lo, width)
+
+        monkeypatch.setattr(distributions, "log_pmf_matrix", spy)
+        monkeypatch.setattr(density, "log_pmf_matrix", spy, raising=False)
+        dist = DiscreteInput([0.0, 0.2, 0.5, 0.8, 1.0], [0.3, 0.15, 0.1, 0.15, 0.3])
+        xs = np.linspace(0.0, 1.0, 10003)[1:-1]
+        vals = info_density_second(xs, dist, ChannelSpec(n))
+        assert np.all(np.isfinite(vals))
+        assert max(largest) <= max(_CHUNK_CELLS, n + 1)
 
 
 class TestSignChanges:

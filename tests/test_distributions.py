@@ -19,17 +19,18 @@ from binomcap import (
     posterior_mean,
 )
 from binomcap import distributions
-from binomcap.density import info_density_second
 from binomcap.distributions import (
     _CHUNK_CELLS,
     _bernstein_window,
     _info_density_against_logq,
     _info_terms,
     _logsumexp,
+    _row_window,
     log_output_pmf,
 )
 from binomcap.kernel import log_binom_coeffs, log_pmf_matrix
 from binomcap.solver import _cert_grid
+from conditional_means import isecond_moment_ratio_form
 
 
 def rational_det(matrix):
@@ -244,7 +245,9 @@ class TestDensitySweep:
     def test_matches_40_digit_reference_at_max_trials(self, rng):
         # i(x) on the n = 4096 certificate grid against a random symmetric
         # input with both endpoints, summed over every output in 40 digits;
-        # the double sum is within about 1e-14 relative
+        # the double sum is within about 1e-14 relative.  i' and i'' come
+        # from the same sweep, on rows taken on their Bernstein windows, and
+        # are measured on the scale n / (x(1-x)) of their terms
         mp = pytest.importorskip("mpmath").mp
         n = 4096
         half = np.sort(rng.uniform(0.02, 0.48, 3))
@@ -253,7 +256,12 @@ class TestDensitySweep:
         w = np.concatenate([w, w[-2::-1]])
         dist = DiscreteInput(pts, w / w.sum())
         xs = _cert_grid(n)[[1, 100, 250, 403]]
-        got = _info_density_against_logq(ChannelSpec(n), xs, log_output_pmf(dist, ChannelSpec(n)))
+        assert _row_window(n, *_bernstein_window(n, xs))[0] is not None
+        got, ip, ipp = _info_density_against_logq(ChannelSpec(n), xs,
+                                                  log_output_pmf(dist, ChannelSpec(n)),
+                                                  derivatives=True)
+        assert np.array_equal(
+            got, _info_density_against_logq(ChannelSpec(n), xs, log_output_pmf(dist, ChannelSpec(n))))
         with mp.workdps(40):
             logc = [mp.log(mp.binomial(n, y)) for y in range(n + 1)]
 
@@ -267,10 +275,20 @@ class TestDensitySweep:
             rows = [log_row(p) for p in dist.points]
             q = [mp.fsum(mp.mpf(float(wk)) * mp.exp(r[y]) for wk, r in zip(dist.weights, rows))
                  for y in range(n + 1)]
-            for x, g in zip(xs, got):
+            for x, g, g1, g2 in zip(xs, got, ip, ipp):
                 ref = mp.fsum(mp.exp(lp) * (lp - mp.log(qy))
                               for lp, qy in zip(log_row(x), q) if lp != -mp.inf)
                 assert abs(g - ref) <= 1e-12 * abs(ref)
+                # t = d log P / dx; i' = sum P t d, i'' = sum P (t^2 + dt/dx) d + P t^2
+                X = mp.mpf(float(x))
+                ref1 = ref2 = 0
+                for y, (lp, qy) in enumerate(zip(log_row(x), q)):
+                    P, t, d = mp.exp(lp), (y - n * X) / (X * (1 - X)), lp - mp.log(qy)
+                    ref1 += P * t * d
+                    ref2 += P * (t * t - y / X ** 2 - (n - y) / (1 - X) ** 2) * d + P * t * t
+                scale = float(X * (1 - X)) / n
+                assert abs(g1 - ref1) * scale <= 1e-12
+                assert abs(g2 - ref2) * scale <= 1e-12
 
     def test_starved_output(self):
         spec = ChannelSpec(4)
@@ -287,7 +305,7 @@ class TestInfoTerms:
     @pytest.mark.parametrize("n", [10, 75, 256])
     def test_second_derivative_matches_moment_ratio_form(self, solved, n):
         # i'' from the frozen-output channel rows against the independent
-        # posterior-mean form of density.py, at the interior atoms of a solve.
+        # posterior-mean (moment-ratio) form, at the interior atoms of a solve.
         # At an atom i'' is a small difference of terms of size n / (x(1-x)),
         # at n = 256 down to 1e-8 of it, so the error is measured on that
         # scale: there both forms are within 3e-13 of a 40-digit evaluation,
@@ -299,7 +317,7 @@ class TestInfoTerms:
         logP = log_pmf_matrix(spec, xs)
         ipp = _info_terms(spec, xs, logP, np.exp(logP), log_output_pmf(report.input, spec),
                           slice(None))[3]
-        ref = info_density_second(xs, report.input, spec)
+        ref = isecond_moment_ratio_form(xs, report.input, spec)
         assert np.max(np.abs(ipp - ref) * xs * (1 - xs) / n) <= 1e-11
 
     def test_derivatives_only_on_interior_rows(self):

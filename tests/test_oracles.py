@@ -149,9 +149,9 @@ class TestGridOracle:
 
     def test_densities_formed_only_at_certificates_and_plain_steps(self, monkeypatch):
         # an iteration takes two channel products (the look-ahead densities
-        # and z P); the candidate's I comes from _information_value, and the
-        # density form runs only at a certificate (I(z) and I(x)) and when a
-        # plain step is taken
+        # and z P); the candidate's I and the certificate's I(z) come from
+        # _information_value, and the density form runs once per certificate
+        # (the densities of x) and when a plain step is taken
         information = oracles._information
         information_value = oracles._information_value
         plain_step = oracles._plain_step
@@ -167,9 +167,10 @@ class TestGridOracle:
         monkeypatch.setattr(oracles, "_information_value", count("value", information_value))
         monkeypatch.setattr(oracles, "_plain_step", count("plain", plain_step))
         brute_force_grid_capacity(ChannelSpec(3), 1001, 1e-6)
-        candidates = calls["value"] - calls["plain"]
+        certificates = calls["information"] - calls["plain"]
+        candidates = calls["value"] - calls["plain"] - certificates
         assert candidates > 0
-        assert calls["information"] <= 2 * (candidates // 50 + 1) + calls["plain"]
+        assert certificates == candidates // 50 + 1
 
     @pytest.mark.parametrize("tol", [1e-5, 1e-6])
     @pytest.mark.parametrize("n", [1, 2, 3])
