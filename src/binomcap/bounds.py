@@ -165,7 +165,8 @@ def cardinality_bounds(n: int, capacity_nats: float) -> tuple[float, int]:
 
 @dataclass(frozen=True)
 class BoundsReport:
-    """Closed-form capacity and cardinality bounds for one trial count."""
+    """Closed-form capacity and cardinality bounds for one trial count.
+    Its fields, in order, are the `bounds` JSON keys and CSV columns."""
 
     n: int
     cap_lower: float
@@ -173,16 +174,6 @@ class BoundsReport:
     card_lower: float
     card_upper: int
     witsenhausen: int
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "cap_lower": self.cap_lower,
-            "cap_upper": self.cap_upper,
-            "card_lower": self.card_lower,
-            "card_upper": self.card_upper,
-            "witsenhausen": self.witsenhausen,
-        }
 
 
 def bounds_report(n: int, capacity_nats: float | None = None) -> BoundsReport:

@@ -123,7 +123,7 @@ def _emit(args, text: str, suffix: str | None = None) -> None:
 
 
 def _bits_note(args, capacity_nats: float, n: int) -> None:
-    if getattr(args, "bits", False):
+    if args.bits:
         print(f"n={n}: capacity {format_real(capacity_nats)} nats = "
               f"{format_real(capacity_nats / _LN2)} bits", file=sys.stderr)
 
@@ -143,7 +143,7 @@ def _cmd_bounds(args) -> int:
     if args.n_max is not None and args.n_max < 1:
         raise ValueError("--n-max must be >= 1")
     ns = [args.n] if args.n is not None else list(range(1, args.n_max + 1))
-    rows = [bounds_mod.bounds_report(n).to_dict() for n in ns]
+    rows = [vars(bounds_mod.bounds_report(n)) for n in ns]
     if args.format == "json":
         _emit(args, dumps(rows) + "\n")
     else:
@@ -156,17 +156,7 @@ def _cmd_verify(args) -> int:
         payload = json.load(fh)
     dist = DiscreteInput.from_dict(payload)
     summary = solver._certify(dist, ChannelSpec(args.n), args.kkt_tol)[0]
-    out = {
-        "n": args.n,
-        "capacity_nats": summary.capacity_nats,
-        "kkt_slack": summary.slack,
-        "equality_defect": summary.equality_defect,
-        "symmetry_defect": summary.symmetry_defect,
-        "active_set": summary.active_set,
-        "flags": summary.flags,
-        "grid_points": summary.grid_points,
-    }
-    _emit(args, dumps(out) + "\n")
+    _emit(args, dumps(vars(summary)) + "\n")
     _bits_note(args, summary.capacity_nats, args.n)
     return 0
 
@@ -180,7 +170,7 @@ def _cmd_sweep(args) -> int:
     for report in solver.sweep_capacity(args.n_max, config):
         all_converged &= report.converged
         bounds = bounds_mod.bounds_report(report.n, max(report.capacity_nats, 0.0))
-        rows.append({**bounds.to_dict(), "capacity_nats": report.capacity_nats,
+        rows.append({**vars(bounds), "capacity_nats": report.capacity_nats,
                      "support_size": report.support_size, "kkt_slack": report.kkt_slack})
         _bits_note(args, report.capacity_nats, report.n)
     _emit(args, bounds_mod.sweep_csv(rows))

@@ -61,9 +61,6 @@ class DiscreteInput:
     def __len__(self) -> int:
         return len(self.points)
 
-    def as_dict(self) -> dict:
-        return {"points": list(self.points), "weights": list(self.weights)}
-
     @classmethod
     def from_dict(cls, d: dict) -> "DiscreteInput":
         if not isinstance(d, dict):

@@ -34,7 +34,8 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -57,6 +58,12 @@ _DEAD_WEIGHT = 1e-40   # Blahut-Arimoto weight floor: no weight goes subnormal
 _MERGE_RADIUS = 1e-4   # half-support atoms at most this far apart merge
 
 
+def _check_tol(tol, name: str) -> None:
+    """A KKT tolerance is a real number in (0, inf); a bool is not one."""
+    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0 < tol < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {tol}")
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """The KKT slack and equality defect a solve must reach to certify, and
@@ -66,8 +73,7 @@ class SolverConfig:
     max_outer_iters: int = 200
 
     def __post_init__(self):
-        if not 0 < self.kkt_tol < math.inf:
-            raise ValueError(f"kkt_tol must be positive and finite, got {self.kkt_tol}")
+        _check_tol(self.kkt_tol, "kkt_tol")
         m = self.max_outer_iters
         if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
             raise ValueError(f"max_outer_iters must be an integer >= 1, got {m!r}")
@@ -88,35 +94,36 @@ class BAResult:
 
 @dataclass(frozen=True)
 class KktSummary:
-    """Optimality certificate: i on the arcsine grid and its refined peaks."""
+    """Optimality certificate: i on the arcsine grid and its refined peaks.
+    Its fields, in order, are the `verify` JSON."""
 
+    n: int
     capacity_nats: float
-    slack: float
+    kkt_slack: float
     equality_defect: float
-    active_set: list
     symmetry_defect: float
+    active_set: list
     flags: dict
     grid_points: int
 
 
 @dataclass(frozen=True)
-class SolveReport:
-    """Solved distribution with capacity estimate and KKT diagnostics."""
+class SolveReport(KktSummary):
+    """An input distribution's certificate, plus the input, its output pmf
+    and how the solve went."""
 
     input: DiscreteInput
     output: OutputPmf
-    capacity_nats: float
-    kkt_slack: float
-    equality_defect: float
-    support_size: int
-    active_set_estimate: list
     iterations: int
     converged: bool
-    flags: dict = field(default_factory=dict)
-    n: int = 0
+
+    @property
+    def support_size(self) -> int:
+        return len(self.input)
 
     def to_dict(self) -> dict:
-        """JSON payload with fixed field order."""
+        """JSON payload with fixed field order; its flags end with the
+        equality and symmetry defects and the active-set size."""
         return {
             "n": self.n,
             "capacity_nats": self.capacity_nats,
@@ -124,7 +131,9 @@ class SolveReport:
             "support": list(self.input.points),
             "weights": list(self.input.weights),
             "output_pmf": list(self.output.probs),
-            "flags": dict(self.flags),
+            "flags": {**self.flags, "equality_defect": self.equality_defect,
+                      "symmetry_defect": self.symmetry_defect,
+                      "active_set_size": len(self.active_set)},
             "iterations": self.iterations,
             "converged": self.converged,
         }
@@ -702,8 +711,7 @@ def _certify(dist: DiscreteInput, spec: ChannelSpec,
     peaks: (x, i) of the refined maxima and of the endpoints that are grid
     maxima, and the log output pmf of dist.
     """
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"KKT tolerance must be positive and finite, got {tol}")
+    _check_tol(tol, "KKT tolerance")
     n = spec.n
     logq = log_output_pmf(dist, spec)
     xs = np.union1d(_cert_grid(n), dist.points)
@@ -753,15 +761,7 @@ def _certify(dist: DiscreteInput, spec: ChannelSpec,
         "weight_cap": bool(wts.max() <= math.exp(-cap) + 1e-9),
         "active_set_within_witsenhausen": bool(len(active) <= n + 1),
     }
-    summary = KktSummary(
-        capacity_nats=cap,
-        slack=slack,
-        equality_defect=defect,
-        active_set=active,
-        symmetry_defect=sym_defect,
-        flags=flags,
-        grid_points=len(xs),
-    )
+    summary = KktSummary(n, cap, slack, defect, sym_defect, active, flags, len(xs))
     return summary, peak_x, peak_i, logq
 
 
@@ -781,30 +781,15 @@ def report_for_distribution(dist: DiscreteInput, spec: ChannelSpec,
     """Build a SolveReport around an externally supplied distribution:
     iterations 0, converged where it certifies (the `kkt_equality` flag)."""
     summary, _, _, logq = _certify(dist, spec, tol)
-    return _report(spec, dist, summary, logq, 0, summary.flags["kkt_equality"])
+    return _report(dist, summary, logq, 0, summary.flags["kkt_equality"])
 
 
-def _report(spec: ChannelSpec, dist: DiscreteInput, summary: KktSummary, logq: np.ndarray,
+def _report(dist: DiscreteInput, summary: KktSummary, logq: np.ndarray,
             iterations: int, converged: bool) -> SolveReport:
     """SolveReport of a distribution from its certification summary and its
     log output pmf."""
-    flags = dict(summary.flags)
-    flags["equality_defect"] = summary.equality_defect
-    flags["symmetry_defect"] = summary.symmetry_defect
-    flags["active_set_size"] = len(summary.active_set)
-    return SolveReport(
-        input=dist,
-        output=OutputPmf(np.exp(logq), spec.n),
-        capacity_nats=summary.capacity_nats,
-        kkt_slack=summary.slack,
-        equality_defect=summary.equality_defect,
-        support_size=len(dist),
-        active_set_estimate=summary.active_set,
-        iterations=iterations,
-        converged=converged,
-        flags=flags,
-        n=spec.n,
-    )
+    return SolveReport(**vars(summary), input=dist, output=OutputPmf(np.exp(logq), summary.n),
+                       iterations=iterations, converged=converged)
 
 
 # ---------------------------------------------------------------------------
@@ -860,12 +845,12 @@ def _refine(spec: ChannelSpec, h: np.ndarray, v: np.ndarray, tol: float, max_out
         dist = _full_input(h, v)
         summary, peak_x, peak_i, logq = _certify(dist, spec, tol)
         if summary.flags["kkt_equality"]:
-            return _report(spec, dist, summary, logq, outer, converged=True), (h, v)
+            return _report(dist, summary, logq, outer, converged=True), (h, v)
         new = _escape_candidates(peak_x, peak_i, summary.capacity_nats, dist.points, tol)
         if not len(new):
             break
         h, v = _merge_half(np.append(h, new), np.append(v, 1e-3))
-    return _report(spec, dist, summary, logq, outer, converged=False), None
+    return _report(dist, summary, logq, outer, converged=False), None
 
 
 def _solve(spec: ChannelSpec, config: SolverConfig):

@@ -156,10 +156,10 @@ def test_criterion_05_structural_flags(solved):
         ok &= abs(cap + math.log(out[-1])) <= 1e-8
         ok &= int(np.sum((pts > 0) & (pts <= 1 / n))) <= 1
         ok &= int(np.sum((pts >= 1 - 1 / n) & (pts < 1))) <= 1
-        ok &= report.flags["symmetry_defect"] <= 1e-9
+        ok &= report.symmetry_defect <= 1e-9
         ok &= math.ceil(math.exp(cap) - 1e-9) <= len(pts) <= 2 + n // 2
         ok &= float(wts.max()) <= math.exp(-cap) + 1e-9
-        ok &= len(report.active_set_estimate) <= n + 1
+        ok &= len(report.active_set) <= n + 1
     check(5, "all structural facts hold for every solved n <= 32", ok)
 
 

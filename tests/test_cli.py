@@ -5,8 +5,9 @@ import os
 import numpy as np
 import pytest
 
-from binomcap import cli
+from binomcap import ChannelSpec, DiscreteInput, cli, kkt_verify, report_for_distribution
 from binomcap.cli import main
+from binomcap.serialize import dumps
 
 
 def run_cli(capsys, *argv):
@@ -103,6 +104,26 @@ class TestVerifyCommand:
         assert code == 0
         verified = json.loads(out)
         assert abs(verified["kkt_slack"] - solved["kkt_slack"]) <= 1e-12
+
+    @pytest.mark.parametrize("n, source", [(64, "solve"), (1024, "random")])
+    def test_output_is_the_summary(self, capsys, tmp_path, solved, n, source):
+        # the verify JSON is the KktSummary's fields, in order, as they are
+        spec = ChannelSpec(n)
+        if source == "solve":
+            report = solved(n)
+            text = dumps(report.to_dict())
+        else:
+            rng = np.random.default_rng(n)
+            half, w = np.sort(rng.uniform(0.01, 0.49, 9)), rng.uniform(0.5, 1.5, 10)
+            dist = DiscreteInput([0.0, *half, *(1.0 - half[::-1]), 1.0],
+                                 np.concatenate([w, w[::-1]]) / (2.0 * w.sum()))
+            report = report_for_distribution(dist, spec)
+            text = json.dumps({"points": list(dist.points), "weights": list(dist.weights)})
+        path = tmp_path / "dist.json"
+        path.write_text(text)
+        code, out, _ = run_cli(capsys, "verify", "--n", str(n), "--dist", str(path))
+        assert code == 0
+        assert out == dumps(vars(kkt_verify(report, spec))) + "\n"
 
     def test_malformed_dist_names_invariant(self, capsys, tmp_path):
         dist = tmp_path / "bad.json"

@@ -53,7 +53,7 @@ class TestExactSolutions:
         sol = exact_solution(n)
         report = report_for_distribution(sol.input, ChannelSpec(n))
         summary = kkt_verify(report, ChannelSpec(n))
-        assert summary.slack <= 1e-10
+        assert summary.kkt_slack <= 1e-10
         assert summary.equality_defect <= 1e-10
 
     @pytest.mark.parametrize("n", [2, 3])

@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import math
 import os
@@ -10,6 +11,7 @@ import pytest
 from binomcap import (
     ChannelSpec,
     DiscreteInput,
+    KktSummary,
     SolverConfig,
     blahut_arimoto,
     exact_solution,
@@ -47,6 +49,12 @@ class TestSolverConfig:
         # an infinite tolerance would switch the certification gate off
         with pytest.raises(ValueError, match="finite"):
             SolverConfig(kkt_tol=float("inf"))
+
+    @pytest.mark.parametrize("tol", [True, np.True_, "1e-8", None])
+    def test_tolerance_must_be_a_real_number(self, tol):
+        # True used to pass as a 1-nat gate, and a string to raise TypeError
+        with pytest.raises(ValueError, match="kkt_tol"):
+            SolverConfig(kkt_tol=tol)
 
     @pytest.mark.parametrize("budget", [2.5, True, 0, -1, "3"])
     def test_budget_must_be_a_positive_integer(self, budget):
@@ -180,7 +188,7 @@ class TestSolveCapacity:
         assert all(w[k] == w[K - 1 - k] for k in range(K))
         # the atoms past 1/2 are formed as 1 - h from the ones in [0, 1/2]
         assert all(pts[K - 1 - k] == 1.0 - pts[k] for k in range((K + 1) // 2))
-        assert report.flags["symmetry_defect"] == 0.0
+        assert report.symmetry_defect == 0.0
 
     # the support sizes of the certified optima; a seed or polish that leaves
     # extra atoms behind still certifies but shows here (at n = 122 and 143 a
@@ -514,7 +522,7 @@ class TestSolverVariants:
         dist, summary = seen[-1]
         assert np.array_equal(report.input.points, dist.points)
         assert np.array_equal(report.input.weights, dist.weights)
-        assert report.kkt_slack == summary.slack
+        assert report.kkt_slack == summary.kkt_slack
         assert report.equality_defect == summary.equality_defect
 
 
@@ -607,7 +615,7 @@ class TestKktVerify:
     def test_certifies_known_optimum(self, table_dists):
         report = report_for_distribution(table_dists[2], ChannelSpec(2))
         summary = kkt_verify(report, ChannelSpec(2))
-        assert summary.slack <= 1e-10
+        assert summary.kkt_slack <= 1e-10
         assert all(summary.flags.values())
         np.testing.assert_allclose(sorted(summary.active_set), [0.0, 0.5, 1.0], atol=1e-4)
 
@@ -617,7 +625,7 @@ class TestKktVerify:
         dist = DiscreteInput(table_dists[2].points, w)
         report = report_for_distribution(dist, ChannelSpec(2))
         summary = kkt_verify(report, ChannelSpec(2))
-        assert summary.slack > 1e-4
+        assert summary.kkt_slack > 1e-4
         assert not summary.flags["kkt_equality"]
         assert not report.converged
 
@@ -627,7 +635,7 @@ class TestKktVerify:
         report = report_for_distribution(dist, ChannelSpec(2))
         assert not report.converged
         assert report.kkt_slack > 0.05
-        assert kkt_verify(report, ChannelSpec(2)).slack > 0.05
+        assert kkt_verify(report, ChannelSpec(2)).kkt_slack > 0.05
 
     def test_converged_comes_from_the_certificate(self):
         # no caller can stamp an input converged that does not certify
@@ -639,6 +647,29 @@ class TestKktVerify:
         for tol in (0.0, -1e-8, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="tolerance must be positive"):
                 report_for_distribution(table_dists[2], ChannelSpec(2), tol=tol)
+
+    @pytest.mark.parametrize("tol", [True, np.True_, "1e-8"])
+    def test_rejects_non_real_tol(self, tol):
+        # with tol=True this non-optimal input (slack 0.28, equality defect
+        # 0.42) used to certify
+        dist = DiscreteInput([0.0, 0.5, 1.0], [0.3, 0.4, 0.3])
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            report_for_distribution(dist, ChannelSpec(2), tol=tol)
+
+    def test_report_is_its_certificate(self, solved):
+        # a SolveReport is a KktSummary plus the solve: the certificate
+        # fields are kkt_verify's, and only the JSON adds numbers to flags
+        report, spec = solved(64), ChannelSpec(64)
+        assert isinstance(report, KktSummary)
+        summary = kkt_verify(report, spec)
+        for f in dataclasses.fields(KktSummary):
+            assert getattr(report, f.name) == getattr(summary, f.name), f.name
+        assert len(report.flags) == 9
+        assert all(type(v) is bool for v in report.flags.values())
+        assert list(report.to_dict()["flags"].items())[-3:] == [
+            ("equality_defect", report.equality_defect),
+            ("symmetry_defect", report.symmetry_defect),
+            ("active_set_size", len(report.active_set))]
 
     @pytest.mark.parametrize("n", [2048, 4096])
     @pytest.mark.parametrize("points,weights", [
@@ -728,7 +759,7 @@ class TestCertificate:
         monkeypatch.setattr(solver, "log_pmf_matrix", spy)
         summary = solver._certify(dist, spec, 1e-8)[0]
         assert len(rounds) <= 5
-        assert summary.slack <= 1e-12
+        assert summary.kkt_slack <= 1e-12
 
     # the refined peaks must see at least what the 20490-point uniform sweep
     # saw, up to rounding of i (relative: slacks reach hundreds of nats)
@@ -749,7 +780,7 @@ class TestCertificate:
             pts[inner] += 2e-3 * np.sign(0.5 - pts[inner])
             dist = DiscreteInput(pts, dist.weights)
         ref_slack, max_abs_i = uniform_sweep(dist, spec)
-        slack = kkt_verify(report_for_distribution(dist, spec), spec).slack
+        slack = kkt_verify(report_for_distribution(dist, spec), spec).kkt_slack
         assert slack >= ref_slack - 1e-12 * max(1.0, max_abs_i)
         if kind != "solved":
             assert slack > 1e-6
