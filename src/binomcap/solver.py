@@ -295,19 +295,24 @@ def _kkt_residual(spec: ChannelSpec, h: np.ndarray, v: np.ndarray, C: float,
     0.  Rows: i(h_k) - C for every orbit, i'(h_k) at h_int, the centre row
     min(n^2 s, -g'(s)) of the complementarity s >= 0, g'(s) <= 0,
     s g'(s) = 0 for g(s) = i(1/2 + sqrt(s)), and the mass normalization.
-    `s_row` fixes the branch of the centre row (None: the smaller one).
-    Returns (F, i(h_k), terms), where terms feed the Jacobian, or
-    (None, None, None) when some output is starved of probability.
+    `s_row` fixes the branch of the centre row (None: the smaller one).  The
+    endpoint orbit h_0 = 0 has the row e_0 and i = -log q(0).  Returns
+    (F, i(h_k), terms), where terms feed the Jacobian, or (None, None, None)
+    when some output is starved of probability.
     """
     K = len(h)
-    logP = log_pmf_matrix(spec, h)
-    P = np.exp(logP)
+    logP = log_pmf_matrix(spec, h[1:])
+    P = np.zeros((K, spec.n + 1))
+    P[0, 0] = 1.0
+    np.exp(logP, out=P[1:])
     R = _mirror_mix(P)
     q = v @ R
     if np.any(q <= 0.0):
         return None, None, None
     logq = np.log(q)
-    ival, Pp, ip, ipp = _info_terms(spec, h, logP, P, logq, np.arange(1, K))
+    ival = np.empty(K)
+    ival[0] = -logq[0]
+    ival[1:], Pp, ip, ipp = _info_terms(spec, h[1:], logP, P[1:], logq, np.arange(K - 1))
     d = 0.5 - h[-1]
     if d > 0.0:
         # R and g are even in d = sqrt(s): d/ds = (d/dd) / (2d)
@@ -383,9 +388,10 @@ def _kkt_newton(spec: ChannelSpec, h0: np.ndarray, v0: np.ndarray):
     between the midpoints to their neighbours, the centre orbit between that
     midpoint and 1/2.  A run keeps the centre row's branch that its start
     selects and takes a damped step if it lowers the largest residual or
-    raises I; it stops below 1e-13 or once the residual has not halved in
-    ten steps.  If it leaves the system unsolved (above 1e-10), a second run
-    from the start takes the other branch.
+    raises I; it stops below 1e-13, once ten steps have not halved the
+    residual, or at its rounding floor: one step from at most 1e-10 that does
+    not halve it.  A run ends at its lowest-residual iterate; if that leaves
+    the system unsolved (above 1e-10), a second run takes the other branch.
     """
     K = len(h0)
     if K < 2:
@@ -403,10 +409,13 @@ def _kkt_newton(spec: ChannelSpec, h0: np.ndarray, v0: np.ndarray):
         F[-2] = _centre_row(spec, h0, gp0, s_row)[0]
         terms = (*terms0[:-1], s_row)
         info = _information(v, ival)
-        seen = []
+        seen, low = [], None
         for _ in range(60):
             seen.append(fn := float(np.abs(F).max()))
-            if fn <= 1e-13 or len(seen) > 10 and fn > 0.5 * seen[-11]:
+            if low is None or fn < low[0]:
+                low = fn, h, v, F, terms
+            if (fn <= 1e-13 or len(seen) > 10 and fn > 0.5 * seen[-11]
+                    or len(seen) > 1 and seen[-2] <= 1e-10 and fn > 0.5 * seen[-2]):
                 break
             J = _kkt_system(spec, h, v, terms)
             try:
@@ -430,7 +439,8 @@ def _kkt_newton(spec: ChannelSpec, h0: np.ndarray, v0: np.ndarray):
             else:
                 break
             h, v, s, C, F, terms, info = nh, nv, ns, nC, F2, terms2, info2
-        # the residual at (h, v, C) on the smaller centre branch
+        # the residual at the run's lowest-residual iterate on the smaller centre branch
+        _, h, v, F, terms = low
         *_, gp, _, _ = terms
         F[-2] = _centre_row(spec, h, gp, None)[0]
         fn = float(np.abs(F).max())
@@ -471,16 +481,21 @@ def _ascent_gradient(v: np.ndarray, ival: np.ndarray, terms) -> np.ndarray:
     return np.concatenate([ival, v[1:-1] * terms[4], [v[-1] * terms[7]]])
 
 
-def _trust_region_step(g: np.ndarray, H: np.ndarray, radius: float):
-    """Maximizer p of the model g.p + p.H.p / 2 over |p| <= radius, from the
-    eigenvectors of H (Moré & Sorensen 1983).  Returns (p, model gain,
-    whether p is on the boundary).  In the hard case, g orthogonal to the
-    eigenvectors of the largest eigenvalue of H, p stops inside the ball,
-    an ascent step all the same."""
+def _model_eigen(g: np.ndarray, H: np.ndarray):
+    """(lam, Q, Q^T g) with -H = Q diag(lam) Q^T, for `_trust_region_step`."""
     lam, Q = np.linalg.eigh(-H)
-    a = Q.T @ g
+    return lam, Q, Q.T @ g
+
+
+def _trust_region_step(eig, radius: float):
+    """Maximizer p of the model g.p + p.H.p / 2 over |p| <= radius, from
+    its `_model_eigen(g, H)`, which serves every radius (Moré & Sorensen
+    1983).  Returns (p, model gain, whether p is on the boundary).  In the
+    hard case, g orthogonal to the eigenvectors of the largest eigenvalue of
+    H, p stops inside the ball, an ascent step all the same."""
+    lam, Q, a = eig
     if not np.any(a):
-        return np.zeros_like(g), 0.0, False
+        return np.zeros_like(a), 0.0, False
     if lam[0] > 0.0 and np.sum((a / lam) ** 2) <= radius ** 2:
         p, boundary = a / lam, False
     else:
@@ -529,7 +544,7 @@ def _hold(held: np.ndarray, stops: np.ndarray, K: int):
     held[-1] |= K - 1 in masses
 
 
-def _ascend_information(spec: ChannelSpec, h: np.ndarray, v: np.ndarray):
+def _ascend_information(spec: ChannelSpec, h: np.ndarray, v: np.ndarray, tol: float = 1e-20):
     """Directly maximize I over the masses v, the atoms h_int and the centre
     orbit's s, by a trust-region Newton ascent on `_ascent_model`.
 
@@ -537,14 +552,15 @@ def _ascend_information(spec: ChannelSpec, h: np.ndarray, v: np.ndarray):
     transitions.  sum(v) = 1 is kept on an orthonormal null-space basis; the
     steps are scaled by 1 for v, the kernel width sqrt(h(1 - h)/n) for h and
     1/n for s.  A step that would take a mass or s below 0 stops at the bound
-    and holds that variable there (a held mass also holds its atom).  Once
-    the held problem has converged (predicted gain at most 1e-20 max(1, I),
-    an equality defect of about 1e-10, below the 1e-16 rounding of I: steps
-    of gains below 1e-12 are judged on the gradients), the held variables
-    whose multipliers point inwards are released: a mass whose i exceeds the
-    mean i of the free orbits, s where g' > 0.  Returns the half support,
-    sorted, without the orbits left at mass 0 (but always with the endpoint
-    orbit).
+    and holds that variable there (a held mass also holds its atom).  The
+    reduced model and its eigendecomposition serve every radius tried until
+    a step is taken or the held set changes.  Once the held problem has
+    converged (predicted gain at most tol max(1, I); the default 1e-20 is an
+    equality defect of about 1e-10, below the 1e-16 rounding of I: steps of
+    gains below 1e-12 are judged on the gradients), the held variables whose
+    multipliers point inwards are released: a mass whose i exceeds the mean
+    i of the free orbits, s where g' > 0.  Returns the half support, sorted,
+    without the orbits left at mass 0 (but always with the endpoint orbit).
     """
     K, n = len(h), spec.n
     h, v = h.copy(), v / v.sum()
@@ -555,18 +571,21 @@ def _ascend_information(spec: ChannelSpec, h: np.ndarray, v: np.ndarray):
     info, g, H = model
     # held: masses (and the atoms of h_int and s with them) and s at 0
     held = np.concatenate([v <= 0.0, v[1:-1] <= 0.0, [v[-1] <= 0.0 or s <= 0.0]])
-    radius, moved = 1.0, True
+    radius, moved, eig = 1.0, True, None
     for _ in range(1000):
-        free = np.flatnonzero(~held)
-        fv = free[free < K]
-        scale = np.concatenate([np.ones(K), np.sqrt(h[1:-1] * (1.0 - h[1:-1]) / n), [1.0 / n]])
-        M = np.zeros((len(free), len(free) - 1))
-        M[:len(fv), :len(fv) - 1] = _sum_zero_basis(len(fv))
-        M[len(fv):, len(fv) - 1:] = np.eye(len(free) - len(fv))
-        M *= scale[free, None]
-        Hf = H[np.ix_(free, free)]
-        p, gain, boundary = _trust_region_step(M.T @ g[free], M.T @ Hf @ M, radius)
-        if gain <= 1e-20 * max(1.0, info):
+        if eig is None:
+            # the reduced model, kept until a step is taken or `held` changes
+            free = np.flatnonzero(~held)
+            fv = free[free < K]
+            scale = np.concatenate([np.ones(K), np.sqrt(h[1:-1] * (1.0 - h[1:-1]) / n), [1.0 / n]])
+            M = np.zeros((len(free), len(free) - 1))
+            M[:len(fv), :len(fv) - 1] = _sum_zero_basis(len(fv))
+            M[len(fv):, len(fv) - 1:] = np.eye(len(free) - len(fv))
+            M *= scale[free, None]
+            Hf = H[np.ix_(free, free)]
+            eig = _model_eigen(M.T @ g[free], M.T @ Hf @ M)
+        p, gain, boundary = _trust_region_step(eig, radius)
+        if gain <= tol * max(1.0, info):
             # the held problem has converged: release the bound variables
             # whose multipliers point inwards, unless the last release led
             # nowhere
@@ -576,7 +595,7 @@ def _ascend_information(spec: ChannelSpec, h: np.ndarray, v: np.ndarray):
             if not moved or not np.any(wants):
                 break
             held &= ~wants
-            radius, moved = 1.0, False
+            radius, moved, eig = 1.0, False, None
             continue
         dz = M @ p
         z = np.concatenate([v, h[1:-1], [s]])
@@ -587,6 +606,7 @@ def _ascend_information(spec: ChannelSpec, h: np.ndarray, v: np.ndarray):
         stops = free[down[ratio <= alpha]] if alpha < 1.0 else np.array([], dtype=int)
         if alpha <= 0.0:
             _hold(held, stops, K)
+            eig = None
             continue
         z[free] += alpha * dz
         z[stops] = 0.0
@@ -615,7 +635,7 @@ def _ascend_information(spec: ChannelSpec, h: np.ndarray, v: np.ndarray):
             h, v, s = nh, nv, ns
             info, g, H = _ascent_model(spec, h, v, residual)
             _hold(held, stops, K)
-            moved = True
+            moved, eig = True, None
     keep = v > 0.0
     keep[0] = True
     order = np.argsort(h[keep], kind="stable")
@@ -865,7 +885,8 @@ def _solve(spec: ChannelSpec, config: SolverConfig):
     # one BA update of the uniform start, as the ascent re-optimizes the
     # masses; Newton mostly stalls from there, so ascend before the first polish
     v = _ba_core(spec, h, -np.inf, max_iters=1, orbits=True)[0]
-    h, v = _merge_half(*_ascend_information(spec, h, v))
+    # loose: Newton follows, and `_polish` ascends in full where it stalls
+    h, v = _merge_half(*_ascend_information(spec, h, v, tol=1e-10))
     report, half = _refine(spec, h, v, config.kkt_tol, config.max_outer_iters)
     if half is None:
         log.warning("solve_capacity(n=%d): not certified after %d outer iterations "

@@ -24,6 +24,7 @@ from binomcap import (
 )
 from binomcap import solver
 from binomcap.serialize import dumps
+from binomcap.distributions import _info_density_against_logq
 from binomcap.kernel import _output_counts
 from binomcap.solver import _ba_core, _kkt_residual, _kkt_system
 
@@ -322,6 +323,34 @@ class TestHalfSupport:
         assert np.all(nv > 0.0)
         assert abs(nv.sum() - 1.0) <= 1e-15
 
+    @pytest.mark.parametrize("n", [24, 256, 4096])
+    def test_density_rows_are_the_density_sweeps(self, solved, n):
+        # the endpoint row is taken in closed form, -log q(0); every row is
+        # the density sweep's i against the same output pmf
+        spec = ChannelSpec(n)
+        h, v = _half(solved(n)) if n < 4096 else solver._seed_support(spec)
+        _, ival, terms = _kkt_residual(spec, h, v, 0.0)
+        want = _info_density_against_logq(spec, h, np.log(terms[2]))
+        assert np.all(np.abs(ival - want) <= 1e-15 * np.abs(want))
+
+    def test_newton_stops_at_its_rounding_floor(self, solved, monkeypatch):
+        # from the certified n = 256 half support the residual starts at the
+        # rounding floor; a run used to wait for 1e-13 or ten steps that did
+        # not halve it (25 residual evaluations)
+        spec = ChannelSpec(256)
+        h, v = _half(solved(256))
+        calls = []
+        residual = solver._kkt_residual
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return residual(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "_kkt_residual", spy)
+        nh, nv, status, fn = solver._kkt_newton(spec, h, v)
+        assert status == "ok" and fn <= 1e-12
+        assert len(calls) <= 8
+
     @pytest.mark.parametrize("n", [10, 24, 128])
     def test_orbit_ba_matches_full_grid(self, n):
         spec = ChannelSpec(n)
@@ -379,6 +408,14 @@ class TestSeedSupport:
         assert calls == [1]
         # the same answer as the shared `solved` fixture's, at a Newton solution
         assert report.to_dict() == solved(n).to_dict()
+        assert report.kkt_slack <= 1e-12 and report.equality_defect <= 1e-12
+
+    @pytest.mark.parametrize("n", [288, 292])
+    def test_cold_solve_ends_at_a_newton_solution(self, n):
+        # Newton used to stall near its rounding floor here and leave the
+        # ascent's answer (n = 288: slack 1.8e-11)
+        report = solve_capacity(ChannelSpec(n))
+        assert report.converged
         assert report.kkt_slack <= 1e-12 and report.equality_defect <= 1e-12
 
     @pytest.mark.parametrize("n", [80, 128])
@@ -465,7 +502,7 @@ class TestAscent:
             A = rng.normal(size=(6, 6))
             H, g = A + A.T, rng.normal(size=6)
             radius = rng.uniform(0.1, 2.0)
-            p, gain, boundary = solver._trust_region_step(g, H, radius)
+            p, gain, boundary = solver._trust_region_step(solver._model_eigen(g, H), radius)
             assert np.linalg.norm(p) <= radius * (1 + 1e-6)
             assert abs(gain - (g @ p + 0.5 * p @ H @ p)) <= 1e-10 * max(1.0, abs(gain))
             # no point of the ball does better
@@ -474,12 +511,12 @@ class TestAscent:
             assert np.max(u @ g + 0.5 * np.einsum("ij,jk,ik->i", u, H, u)) <= gain + 1e-12
         # concave with the maximizer inside: the Newton step
         H = -np.diag([1.0, 2.0, 4.0])
-        p, gain, boundary = solver._trust_region_step(np.ones(3), H, 10.0)
+        p, gain, boundary = solver._trust_region_step(solver._model_eigen(np.ones(3), H), 10.0)
         assert not boundary and np.allclose(p, [1.0, 0.5, 0.25])
         # hard case: g has no part along the most convex direction; the
         # step stops inside the ball, but still ascends
-        p, gain, boundary = solver._trust_region_step(np.array([0.0, 1.0]),
-                                                      np.diag([1.0, -4.0]), 1.0)
+        eig = solver._model_eigen(np.array([0.0, 1.0]), np.diag([1.0, -4.0]))
+        p, gain, boundary = solver._trust_region_step(eig, 1.0)
         assert np.linalg.norm(p) <= 1.0 and gain > 0.0
 
     def test_ascent_from_the_seed_reaches_newton(self):
@@ -491,6 +528,29 @@ class TestAscent:
         info = solver._information(v, _kkt_residual(spec, h, v, 0.0)[1])
         assert solver._information(nv, _kkt_residual(spec, nh, nv, 0.0)[1]) >= info
         assert solver._kkt_newton(spec, nh, nv)[2] == "ok"
+
+    def test_ascent_reuses_the_model_of_a_rejected_step(self, monkeypatch):
+        # after a rejected step only the radius moves, so the ascent from the
+        # n = 128 seed needs fewer eigendecompositions than residuals (it
+        # used to take one of each per step, 17 and 17)
+        spec = ChannelSpec(128)
+        h, _ = solver._seed_support(spec)
+        v = _ba_core(spec, h, -np.inf, 1, orbits=True)[0]
+        calls = {"residual": 0, "eigh": 0}
+        residual, eigh = solver._kkt_residual, np.linalg.eigh
+
+        def spy_residual(*args, **kwargs):
+            calls["residual"] += 1
+            return residual(*args, **kwargs)
+
+        def spy_eigh(*args, **kwargs):
+            calls["eigh"] += 1
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "_kkt_residual", spy_residual)
+        monkeypatch.setattr(np.linalg, "eigh", spy_eigh)
+        solver._ascend_information(spec, h, v)
+        assert 0 < calls["eigh"] < calls["residual"]
 
     def test_scipy_optimize_not_imported(self):
         code = "import binomcap, sys; assert 'scipy.optimize' not in sys.modules"
