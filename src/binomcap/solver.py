@@ -7,11 +7,11 @@ orbit {h, 1 - h}.  As P(y | 1 - x) = P(n - y | x), an orbit's channel row is
 the mean of P(.|h) and its reverse: one form for the endpoint orbit {0, 1},
 interior pairs and a centre atom.  The solve works in three layers:
 
-1. about 2 sqrt(n) atoms seed the solve: the endpoints, the first interior
-   atom at the optimum's edge gap phi = 2 arcsin sqrt(x) = pi / sqrt(n),
-   and the rest equally spaced in phi up to its mirror image; one
-   Blahut-Arimoto update sets their masses and the ascent of layer 2 moves
-   them, once per solve;
+1. the gap law of certified supports seeds the solve: in phi = 2 arcsin
+   sqrt(x), the edge gap pi / sqrt(n), then gaps that shrink as a power of
+   their index, stretched to end at 1/2 at a centre atom or a pair; one
+   Blahut-Arimoto update sets the masses of the two best such structures,
+   and Newton (layer 2) runs from them before any ascent;
 2. a damped semismooth Newton iteration on the optimality conditions
    polishes masses and positions; the last orbit sits at 1/2 - sqrt(s), so
    one regular unknown covers a centre atom (s = 0) and a pair, and Newton
@@ -56,6 +56,7 @@ log = logging.getLogger(__name__)
 _TINY_Q = 1e-300
 _DEAD_WEIGHT = 1e-40   # Blahut-Arimoto weight floor: no weight goes subnormal
 _MERGE_RADIUS = 1e-4   # half-support atoms at most this far apart merge
+_NEWTON_TOL = 1e-10    # largest residual at which Newton has solved the optimality system
 
 
 def _check_tol(tol, name: str) -> None:
@@ -230,33 +231,51 @@ def _full_input(h: np.ndarray, v: np.ndarray) -> DiscreteInput:
     return DiscreteInput(pts, wts / wts.sum())
 
 
-# seed atoms per sqrt(n): the paper bounds the support size below by order
-# sqrt(n), and certified supports have 13 atoms at n = 64, 20 at 128, 22 at
-# 150.  Cold solves of n = 2..300 take 446 outer iterations at 1.8, 370 at
-# 2.0 and 300 at 2.2, but 2.2 doubles the time of n = 80 and 128
-_SEED_ATOMS_PER_ROOT_N = 2.0
+# gaps of the certified half supports in phi sqrt(n) after the edge gap pi:
+# g_k = _GAP_SCALE (k / 2)^-_GAP_DECAY, k >= 2 (`_seed_support`)
+_GAP_SCALE, _GAP_DECAY = 2.24, 0.283
 
 
 def _seed_support(spec: ChannelSpec):
-    """Initial half support: K = max(3, floor(2 sqrt(n))) atoms on [0, 1]
-    in phi = 2 arcsin sqrt(x), the endpoints and K - 2 atoms equally spaced
-    in phi from phi_1 = min(pi / sqrt(n), pi / 2) to pi - phi_1; the ones
-    in [0, 1/2], with equal orbit masses.  Certified supports have their
-    first interior atom at phi_1 sqrt(n) = 3.13 for n = 20..300, a gap that
-    fits the extra endpoint mass of Xie & Barron's modified Jeffreys prior;
-    equal spacing of all K atoms in phi would put a surplus atom in it.  At
-    least 3 atoms, so 1/2 is one: for n >= 2, e^C >= 17/8 > 2, and the
-    paper's cardinality bound allows no fewer; for n <= 4, phi_1 = pi / 2
-    and the seed is {0, 1/2, 1}.
+    """The two best seed half supports, best first, each with equal orbit
+    masses: the structures of the gap law of certified supports.
+
+    Measured from the endpoint in phi sqrt(n), phi = 2 arcsin sqrt(x), the
+    k-th gap of the certified half supports is the same at every n from 50
+    to 300, an edge layer over an arcsine bulk as in Xie & Barron's
+    modified Jeffreys prior:
+
+        k                 1     2     3     4     5     6     7     8
+        certified      3.13  2.27  1.99  1.83  1.72  1.64  1.57  1.51
+        seed             pi  2.24  2.00  1.84  1.73  1.64  1.57  1.51
+
+    The seed keeps the edge gap pi, then g_k = 2.24 (k / 2)^-0.283, a
+    least-squares fit over the Newton solutions of n = 100..300 (within a
+    few per cent of every certified gap of n = 40..300 but the last two
+    before the centre), stretched by one factor lambda to meet phi = pi / 2
+    at a centre atom or half-way across a pair.  |log lambda| ranks the
+    structures.  For n <= 4 the edge gap reaches pi / 2: the seed is
+    {0, 1/2, 1}.
     """
     n = spec.n
-    K = max(3, int(_SEED_ATOMS_PER_ROOT_N * math.sqrt(n)))
-    edge = min(math.pi / math.sqrt(n), 0.5 * math.pi)
-    phi = np.concatenate([[0.0], np.linspace(edge, math.pi - edge, K - 2), [math.pi]])
-    # the first ceil(K / 2) atoms are those in [0, 1/2]; the merge snaps a
-    # middle one onto 1/2 and merges the copies of 1/2 for n <= 4
-    h = np.sin(0.5 * phi[:(K + 1) // 2]) ** 2
-    return _merge_half(h, np.ones(len(h)))
+    rest = 0.5 * math.pi * math.sqrt(n) - math.pi
+    if rest <= 0.0:
+        return [(np.array([0.0, 0.5]), np.array([0.5, 0.5]))]
+    # g_2, g_3, ...: their sum passes 1.68 rest for every n up to 4096
+    g = _GAP_SCALE * (np.arange(2, 2 * int(rest) + 6) / 2.0) ** -_GAP_DECAY
+    ends = np.cumsum(g)
+    # run lengths to phi = pi / 2: a pair half-way across gap j + 2, then
+    # a centre atom at its end, for j = 0, 1, ...
+    runs = np.column_stack([ends - 0.5 * g, ends]).ravel()
+    seeds = []
+    for r in np.argsort(np.abs(np.log(runs / rest)), kind="stable")[:2]:
+        j, centre = divmod(int(r), 2)
+        u = np.concatenate([[0.0, math.pi], math.pi + rest / runs[r] * ends[:j + centre]])
+        h = np.sin(0.5 * u / math.sqrt(n)) ** 2
+        if centre:
+            h[-1] = 0.5
+        seeds.append((h, np.full(len(h), 1.0 / len(h))))
+    return seeds
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +355,13 @@ def _centre_row(spec: ChannelSpec, h: np.ndarray, gp: float, s_row: bool | None)
     return (ns if s_row else -gp), s_row
 
 
+def _rows_dot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A @ B.T, by numpy's own loops from m n k = 2^18, where OpenBLAS
+    splits a product over threads and the split changes its rounding."""
+    big = A.shape[0] * B.shape[0] * A.shape[1] >= 1 << 18
+    return np.einsum("ij,kj->ik", A, B) if big else A @ B.T
+
+
 def _kkt_system(spec: ChannelSpec, h: np.ndarray, v: np.ndarray, terms) -> np.ndarray:
     """Jacobian of the stationarity system in (v, h_int, s, C).
 
@@ -352,14 +378,14 @@ def _kkt_system(spec: ChannelSpec, h: np.ndarray, v: np.ndarray, terms) -> np.nd
     vi, vc = v[1:-1], v[-1]
     diag = K + np.arange(m)
     J = np.zeros((2 * K, 2 * K))
-    J[:K, :K] = -(P @ Rq.T)
-    J[:K, K:K + m] = -(P @ Rpq.T) * vi
+    J[:K, :K] = -_rows_dot(P, Rq)
+    J[:K, K:K + m] = -_rows_dot(P, Rpq) * vi
     J[1 + np.arange(m), diag] += ip
     J[:K, K + m] = -(P @ Rsq) * vc
     J[K - 1, K + m] += gp
     J[:K, K + m + 1] = -1.0
-    J[K:K + m, :K] = -(Pp @ Rq.T)
-    J[K:K + m, K:K + m] = -(Pp @ Rpq.T) * vi
+    J[K:K + m, :K] = -_rows_dot(Pp, Rq)
+    J[K:K + m, K:K + m] = -_rows_dot(Pp, Rpq) * vi
     J[diag, diag] += ipp
     J[K:K + m, K + m] = -(Pp @ Rsq) * vc
     if s_row:
@@ -415,7 +441,7 @@ def _kkt_newton(spec: ChannelSpec, h0: np.ndarray, v0: np.ndarray):
             if low is None or fn < low[0]:
                 low = fn, h, v, F, terms
             if (fn <= 1e-13 or len(seen) > 10 and fn > 0.5 * seen[-11]
-                    or len(seen) > 1 and seen[-2] <= 1e-10 and fn > 0.5 * seen[-2]):
+                    or len(seen) > 1 and seen[-2] <= _NEWTON_TOL and fn > 0.5 * seen[-2]):
                 break
             J = _kkt_system(spec, h, v, terms)
             try:
@@ -446,10 +472,10 @@ def _kkt_newton(spec: ChannelSpec, h0: np.ndarray, v0: np.ndarray):
         fn = float(np.abs(F).max())
         if best is None or fn < best[2]:
             best = h, v, fn
-        if fn <= 1e-10:
+        if fn <= _NEWTON_TOL:
             break
     h, v, fn = best
-    status = "ok" if fn <= 1e-10 and np.all(v > 0) else "stall"
+    status = "ok" if fn <= _NEWTON_TOL and np.all(v > 0) else "stall"
     return h, v, status, fn
 
 
@@ -819,16 +845,15 @@ def _report(dist: DiscreteInput, summary: KktSummary, logq: np.ndarray,
 def solve_capacity(spec: ChannelSpec, config: SolverConfig | None = None) -> SolveReport:
     """Compute the capacity and the capacity-achieving input distribution.
 
-    One Blahut-Arimoto update sets the masses of the seed support and the
-    ascent of I moves it, once; then each outer iteration of `_refine`
-    polishes the half support (`_polish`) until the certification
-    (`_certify`) shows both KKT conditions holding to config.kkt_tol, and an
-    escape atom goes in at the largest peak of the information density that
-    still exceeds the capacity estimate.  The loop stops at
-    config.max_outer_iters, or at the first outer iteration with no such
-    peak.  The solve state is a half support (module docstring); it becomes
-    an input on [0, 1] only for certification and the report.  For n = 1 the
-    known two-point solution is returned.
+    `_refine` runs from each of `_cold_starts` in turn: an outer iteration
+    polishes the half support (`_polish`) and certifies it (`_certify`) to
+    config.kkt_tol, else adds an escape atom at the largest peak of the
+    information density above the capacity estimate.  The solve stops at
+    the first start certified with slack and equality defect at most 1e-10,
+    else reports the first one certified.  config.max_outer_iters bounds
+    the outer iterations of all starts together; report.iterations is the
+    reported iterate's number in that count.  For n = 1 the known
+    two-point solution is returned.
     """
     return _solve(spec, config or SolverConfig())[0]
 
@@ -854,13 +879,15 @@ def sweep_capacity(n_max: int, config: SolverConfig | None = None):
         yield report
 
 
-def _refine(spec: ChannelSpec, h: np.ndarray, v: np.ndarray, tol: float, max_outer: int):
+def _refine(spec: ChannelSpec, h: np.ndarray, v: np.ndarray, tol: float, max_outer: int,
+            spent: int = 0):
     """The outer-iteration loop: polish the half support, certify its input
     and, where that does not certify, add an atom of mass 1e-3 at the escape
-    candidate and go round again.  Returns (report, (h, v)) of the first
-    certified iterate, or (report of the last iterate, None) once max_outer
-    outer iterations are spent or no escape candidate is left."""
-    for outer in range(1, max_outer + 1):
+    candidate and go round again, counting outer iterations from spent + 1.
+    Returns (report, (h, v)) of the first certified iterate, or (report of
+    the last iterate, None) once the count reaches max_outer or no escape
+    candidate is left."""
+    for outer in range(spent + 1, max_outer + 1):
         h, v = _merge_half(*_polish(spec, h, v))
         dist = _full_input(h, v)
         summary, peak_x, peak_i, logq = _certify(dist, spec, tol)
@@ -873,6 +900,24 @@ def _refine(spec: ChannelSpec, h: np.ndarray, v: np.ndarray, tol: float, max_out
     return _report(dist, summary, logq, outer, converged=False), None
 
 
+def _cold_starts(spec: ChannelSpec):
+    """The starts of a cold solve, in order: the Newton solution from each
+    seed of `_seed_support` where Newton reaches one, then the loose ascent
+    of I from each seed, first from those Newton did not solve (the others'
+    solutions were refined already).  A seed's masses are one Blahut-Arimoto
+    update of the uniform start, taken when the seed is first reached."""
+    seeds = [], []   # where Newton stalled, where it solved
+    for h, _ in _seed_support(spec):
+        v = _ba_core(spec, h, -np.inf, max_iters=1, orbits=True)[0]
+        nh, nv, status, _ = _kkt_newton(spec, h, v)
+        seeds[status == "ok"].append((h, v))
+        if status == "ok":
+            yield nh, nv
+    for h, v in seeds[0] + seeds[1]:
+        # loose: Newton follows, and `_polish` ascends in full where it stalls
+        yield _merge_half(*_ascend_information(spec, h, v, tol=1e-10))
+
+
 def _solve(spec: ChannelSpec, config: SolverConfig):
     """solve_capacity, and the half support (h, v) it certified (None where
     it did not certify, and for n = 1)."""
@@ -881,18 +926,21 @@ def _solve(spec: ChannelSpec, config: SolverConfig):
         dist = DiscreteInput(np.array([0.0, 1.0]), np.array([0.5, 0.5]))
         return report_for_distribution(dist, spec, config.kkt_tol), None
 
-    h, _ = _seed_support(spec)
-    # one BA update of the uniform start, as the ascent re-optimizes the
-    # masses; Newton mostly stalls from there, so ascend before the first polish
-    v = _ba_core(spec, h, -np.inf, max_iters=1, orbits=True)[0]
-    # loose: Newton follows, and `_polish` ascends in full where it stalls
-    h, v = _merge_half(*_ascend_information(spec, h, v, tol=1e-10))
-    report, half = _refine(spec, h, v, config.kkt_tol, config.max_outer_iters)
+    budget, spent, kept = config.max_outer_iters, 0, None
+    for h, v in _cold_starts(spec):
+        report, half = _refine(spec, h, v, config.kkt_tol, budget, spent)
+        spent = report.iterations
+        solved = half is not None and max(report.kkt_slack, report.equality_defect) <= _NEWTON_TOL
+        if half is not None and kept is None or solved:
+            kept = report, half
+        if solved or spent == budget:
+            break
+    report, half = kept or (report, half)
     if half is None:
         log.warning("solve_capacity(n=%d): not certified after %d outer iterations "
                     "(slack %.2e, defect %.2e): %s", n, report.iterations, report.kkt_slack,
                     report.equality_defect,
-                    "outer-iteration budget spent" if report.iterations == config.max_outer_iters
+                    "outer-iteration budget spent" if report.iterations == budget
                     else "no peak away from the atoms")
     return report, half
 

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import logging
 import math
 import os
@@ -328,7 +329,7 @@ class TestHalfSupport:
         # the endpoint row is taken in closed form, -log q(0); every row is
         # the density sweep's i against the same output pmf
         spec = ChannelSpec(n)
-        h, v = _half(solved(n)) if n < 4096 else solver._seed_support(spec)
+        h, v = _half(solved(n)) if n < 4096 else solver._seed_support(spec)[0]
         _, ival, terms = _kkt_residual(spec, h, v, 0.0)
         want = _info_density_against_logq(spec, h, np.log(terms[2]))
         assert np.all(np.abs(ival - want) <= 1e-15 * np.abs(want))
@@ -372,27 +373,49 @@ class TestSeedSupport:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 9, 24, 80, 128, 256, 4096])
     def test_is_a_half_support(self, n):
-        h, v = solver._seed_support(ChannelSpec(n))
-        # half of K = max(3, floor(2 sqrt(n))) atoms on [0, 1]
-        assert len(h) == math.ceil(max(3, int(2 * math.sqrt(n))) / 2)
-        assert h[0] == 0.0
-        assert np.all(np.diff(h) > 0.0)
-        assert h[-1] <= 0.5
-        assert np.all(v > 0.0)
-        assert abs(v.sum() - 1.0) <= 1e-12
+        seeds = solver._seed_support(ChannelSpec(n))
+        # the count rule: the two structures whose gaps past the edge need
+        # the least stretch lambda to meet phi = pi / 2, at a centre atom or
+        # half-way across a pair; one seed where the edge gap reaches it
+        sizes = {2: [2], 3: [2], 4: [2], 5: [2, 3], 9: [2, 3], 24: [4, 4], 80: [8, 7],
+                 128: [10, 10], 256: [16, 15], 4096: [99, 99]}
+        assert [len(h) for h, _ in seeds] == sizes[n]
+        for h, v in seeds:
+            assert h[0] == 0.0
+            assert np.all(np.diff(h) > 0.0)
+            assert h[-1] <= 0.5
+            assert np.all(v > 0.0)
+            assert abs(v.sum() - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("n", [24, 80, 128, 256, 4096])
+    def test_gaps_follow_the_law_stretched_by_one_factor(self, n):
+        # in phi sqrt(n): the edge gap pi, then g_k = 2.24 (k / 2)^-0.283
+        # times one lambda, up to 1/2 or half-way across the pair's gap
+        stretch = []
+        for h, _ in solver._seed_support(ChannelSpec(n)):
+            u = 2.0 * np.arcsin(np.sqrt(h)) * math.sqrt(n)
+            k = np.arange(2, len(h) + 1)
+            law = 2.24 * (k / 2.0) ** -0.283
+            lam = np.diff(u)[1:] / law[:len(h) - 2]
+            assert abs(u[1] - math.pi) <= 1e-12
+            assert np.ptp(lam) <= 1e-12
+            half_gap = (0.5 * math.pi * math.sqrt(n) - u[-1]) / (0.5 * law[-1])
+            assert half_gap == pytest.approx(lam[0] if h[-1] < 0.5 else 0.0, rel=1e-12, abs=1e-12)
+            stretch.append(abs(math.log(lam[0])))
+        assert stretch[0] <= stretch[1]
 
     def test_two_trials_seed_holds_the_centre(self):
         # for n >= 2, e^C >= 17/8 > 2, so the optimum has at least 3 atoms;
         # the endpoint orbit alone would starve the output y = 1
-        h, _ = solver._seed_support(ChannelSpec(2))
+        (h, _), = solver._seed_support(ChannelSpec(2))
         assert 0.5 in h
         assert solve_capacity(ChannelSpec(2)).iterations == 1
 
     @pytest.mark.parametrize("n", [5, 24, 80, 128, 4096])
     def test_first_interior_atom_at_the_edge_gap(self, n):
         # certified supports put it at phi = 2 arcsin sqrt(x) = pi / sqrt(n)
-        h, _ = solver._seed_support(ChannelSpec(n))
-        assert abs(h[1] - math.sin(math.pi / (2 * math.sqrt(n))) ** 2) <= 1e-15
+        for h, _ in solver._seed_support(ChannelSpec(n)):
+            assert abs(h[1] - math.sin(math.pi / (2 * math.sqrt(n))) ** 2) <= 1e-15
 
     @pytest.mark.parametrize("n", [2, 3, 128])
     def test_cold_solve_runs_one_blahut_arimoto_update(self, solved, n, monkeypatch):
@@ -409,6 +432,20 @@ class TestSeedSupport:
         # the same answer as the shared `solved` fixture's, at a Newton solution
         assert report.to_dict() == solved(n).to_dict()
         assert report.kkt_slack <= 1e-12 and report.equality_defect <= 1e-12
+
+    @pytest.mark.parametrize("n, atoms, centre", [(80, 15, True), (128, 20, False),
+                                                  (256, 31, True)])
+    def test_best_seed_has_the_optimums_structure_and_reaches_newton(self, solved, n, atoms,
+                                                                      centre):
+        # the atom count and centre kind of the certified optimum; Newton
+        # solves the optimality system from the seed's one-update masses
+        report = solved(n)
+        assert report.support_size == atoms and (0.5 in report.input.points) == centre
+        spec = ChannelSpec(n)
+        h, _ = solver._seed_support(spec)[0]
+        assert 2 * len(h) - (h[-1] == 0.5) == atoms and (h[-1] == 0.5) == centre
+        v = _ba_core(spec, h, -np.inf, 1, orbits=True)[0]
+        assert solver._kkt_newton(spec, h, v)[2] == "ok"
 
     @pytest.mark.parametrize("n", [288, 292])
     def test_cold_solve_ends_at_a_newton_solution(self, n):
@@ -522,7 +559,7 @@ class TestAscent:
     def test_ascent_from_the_seed_reaches_newton(self):
         # from the seed's masses after one Blahut-Arimoto update, as in a cold solve
         spec = ChannelSpec(128)
-        h, _ = solver._seed_support(spec)
+        h, _ = solver._seed_support(spec)[0]
         v = _ba_core(spec, h, -np.inf, 1, orbits=True)[0]
         nh, nv = solver._ascend_information(spec, h, v)
         info = solver._information(v, _kkt_residual(spec, h, v, 0.0)[1])
@@ -534,7 +571,7 @@ class TestAscent:
         # n = 128 seed needs fewer eigendecompositions than residuals (it
         # used to take one of each per step, 17 and 17)
         spec = ChannelSpec(128)
-        h, _ = solver._seed_support(spec)
+        h, _ = solver._seed_support(spec)[0]
         v = _ba_core(spec, h, -np.inf, 1, orbits=True)[0]
         calls = {"residual": 0, "eigh": 0}
         residual, eigh = solver._kkt_residual, np.linalg.eigh
@@ -575,8 +612,11 @@ class TestSolverVariants:
             return out
 
         monkeypatch.setattr(solver, "_certify", spy)
-        # n = 457 takes three outer iterations (n = 256 takes two)
-        report = solve_capacity(ChannelSpec(457), SolverConfig(max_outer_iters=2))
+        # with no escape atom, no start certifies n = 132: it takes one outer
+        # iteration per start, three in all, and the budget counts them
+        # together (n = 19 certifies in its second)
+        monkeypatch.setattr(solver, "_escape_candidates", lambda *args: np.array([]))
+        report = solve_capacity(ChannelSpec(132), SolverConfig(max_outer_iters=2))
         assert not report.converged
         assert report.iterations == len(seen) == 2
         dist, summary = seen[-1]
@@ -595,8 +635,10 @@ class TestSolverVariants:
 
     def test_stall_warning_names_the_rule(self, caplog, monkeypatch):
         # n = 19 needs an escape atom after its first outer iteration; with
-        # none found, the loop stops there
+        # none found and no other start, the loop stops there
         monkeypatch.setattr(solver, "_escape_candidates", lambda *args: np.array([]))
+        starts = solver._cold_starts
+        monkeypatch.setattr(solver, "_cold_starts", lambda spec: itertools.islice(starts(spec), 1))
         with caplog.at_level(logging.WARNING, logger="binomcap.solver"):
             report = solve_capacity(ChannelSpec(19))
         assert not report.converged
@@ -605,11 +647,11 @@ class TestSolverVariants:
         assert "outer-iteration budget spent" not in caplog.text
 
     def test_budgeted_large_n_certify(self, solved):
-        # criterion 3's budgeted solves
+        # criterion 3's budgeted solves, at a Newton solution
         for n in (512, 1024):
             report = solved(n, max_outer_iters=16)
             assert report.converged
-            assert report.kkt_slack <= 1e-8
+            assert report.kkt_slack <= 1e-10 and report.equality_defect <= 1e-10
 
 
 class TestSweepCapacity:
