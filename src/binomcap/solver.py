@@ -56,7 +56,6 @@ log = logging.getLogger(__name__)
 _TINY_Q = 1e-300
 _DEAD_WEIGHT = 1e-40   # Blahut-Arimoto weight floor: no weight goes subnormal
 _MERGE_RADIUS = 1e-4   # half-support atoms at most this far apart merge
-_NEWTON_TOL = 1e-10    # largest residual at which Newton has solved the optimality system
 
 
 def _check_tol(tol, name: str) -> None:
@@ -231,38 +230,23 @@ def _full_input(h: np.ndarray, v: np.ndarray) -> DiscreteInput:
     return DiscreteInput(pts, wts / wts.sum())
 
 
-# gaps of the certified half supports in phi sqrt(n) after the edge gap pi:
-# g_k = _GAP_SCALE (k / 2)^-_GAP_DECAY, k >= 2 (`_seed_support`)
-_GAP_SCALE, _GAP_DECAY = 2.24, 0.283
-
-
 def _seed_support(spec: ChannelSpec):
     """The two best seed half supports, best first, each with equal orbit
-    masses: the structures of the gap law of certified supports.
-
-    Measured from the endpoint in phi sqrt(n), phi = 2 arcsin sqrt(x), the
-    k-th gap of the certified half supports is the same at every n from 50
-    to 300, an edge layer over an arcsine bulk as in Xie & Barron's
-    modified Jeffreys prior:
-
-        k                 1     2     3     4     5     6     7     8
-        certified      3.13  2.27  1.99  1.83  1.72  1.64  1.57  1.51
-        seed             pi  2.24  2.00  1.84  1.73  1.64  1.57  1.51
-
-    The seed keeps the edge gap pi, then g_k = 2.24 (k / 2)^-0.283, a
-    least-squares fit over the Newton solutions of n = 100..300 (within a
-    few per cent of every certified gap of n = 40..300 but the last two
-    before the centre), stretched by one factor lambda to meet phi = pi / 2
-    at a centre atom or half-way across a pair.  |log lambda| ranks the
-    structures.  For n <= 4 the edge gap reaches pi / 2: the seed is
-    {0, 1/2, 1}.
+    masses.  In phi sqrt(n), phi = 2 arcsin sqrt(x), the k-th gap of the
+    certified half supports is the same at every n from 50 to 300 (README,
+    "Solver internals"): an edge layer over an arcsine bulk, as in Xie &
+    Barron's modified Jeffreys prior.  A seed keeps the edge gap pi, then
+    g_k = 2.24 (k / 2)^-0.283 (a fit over the Newton solutions of
+    n = 100..300) stretched by one factor lambda to meet phi = pi / 2 at a
+    centre atom or half-way across a pair; |log lambda| ranks them.  For
+    n <= 4 the edge gap reaches pi / 2: the seed is {0, 1/2, 1}.
     """
     n = spec.n
     rest = 0.5 * math.pi * math.sqrt(n) - math.pi
     if rest <= 0.0:
         return [(np.array([0.0, 0.5]), np.array([0.5, 0.5]))]
     # g_2, g_3, ...: their sum passes 1.68 rest for every n up to 4096
-    g = _GAP_SCALE * (np.arange(2, 2 * int(rest) + 6) / 2.0) ** -_GAP_DECAY
+    g = 2.24 * (np.arange(2, 2 * int(rest) + 6) / 2.0) ** -0.283
     ends = np.cumsum(g)
     # run lengths to phi = pi / 2: a pair half-way across gap j + 2, then
     # a centre atom at its end, for j = 0, 1, ...
@@ -356,10 +340,19 @@ def _centre_row(spec: ChannelSpec, h: np.ndarray, gp: float, s_row: bool | None)
 
 
 def _rows_dot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """A @ B.T, by numpy's own loops from m n k = 2^18, where OpenBLAS
-    splits a product over threads and the split changes its rounding."""
-    big = A.shape[0] * B.shape[0] * A.shape[1] >= 1 << 18
-    return np.einsum("ij,kj->ik", A, B) if big else A @ B.T
+    """A @ B.T.  From m n k = 2^18 OpenBLAS splits a product over threads,
+    and a split through a kernel tile or a k block changes its rounding; k
+    blocks of 128 on rows padded to a multiple of 16 keep every split out."""
+    (m, k), K = A.shape, len(B)
+    if m * K * k < 1 << 18:
+        return A @ B.T
+    a, b = np.zeros((-(-m // 16) * 16, 128)), np.zeros((-(-K // 16) * 16, 128))
+    out = np.zeros((len(a), len(b)))
+    for j in range(0, k, 128):
+        w = min(128, k - j)
+        a[:m, :w], b[:K, :w] = A[:, j:j + w], B[:, j:j + w]
+        out += a[:, :w] @ b[:, :w].T
+    return out[:m, :K]
 
 
 def _kkt_system(spec: ChannelSpec, h: np.ndarray, v: np.ndarray, terms) -> np.ndarray:
@@ -441,7 +434,7 @@ def _kkt_newton(spec: ChannelSpec, h0: np.ndarray, v0: np.ndarray):
             if low is None or fn < low[0]:
                 low = fn, h, v, F, terms
             if (fn <= 1e-13 or len(seen) > 10 and fn > 0.5 * seen[-11]
-                    or len(seen) > 1 and seen[-2] <= _NEWTON_TOL and fn > 0.5 * seen[-2]):
+                    or len(seen) > 1 and seen[-2] <= 1e-10 and fn > 0.5 * seen[-2]):
                 break
             J = _kkt_system(spec, h, v, terms)
             try:
@@ -472,10 +465,10 @@ def _kkt_newton(spec: ChannelSpec, h0: np.ndarray, v0: np.ndarray):
         fn = float(np.abs(F).max())
         if best is None or fn < best[2]:
             best = h, v, fn
-        if fn <= _NEWTON_TOL:
+        if fn <= 1e-10:
             break
     h, v, fn = best
-    status = "ok" if fn <= _NEWTON_TOL and np.all(v > 0) else "stall"
+    status = "ok" if fn <= 1e-10 and np.all(v > 0) else "stall"
     return h, v, status, fn
 
 
@@ -849,11 +842,11 @@ def solve_capacity(spec: ChannelSpec, config: SolverConfig | None = None) -> Sol
     polishes the half support (`_polish`) and certifies it (`_certify`) to
     config.kkt_tol, else adds an escape atom at the largest peak of the
     information density above the capacity estimate.  The solve stops at
-    the first start certified with slack and equality defect at most 1e-10,
-    else reports the first one certified.  config.max_outer_iters bounds
-    the outer iterations of all starts together; report.iterations is the
-    reported iterate's number in that count.  For n = 1 the known
-    two-point solution is returned.
+    the first start certified with slack and equality defect at most
+    config.kkt_tol / 100, else reports the first one certified.
+    config.max_outer_iters bounds the outer iterations of all starts
+    together; report.iterations is the reported iterate's number in that
+    count.  For n = 1 the known two-point solution is returned.
     """
     return _solve(spec, config or SolverConfig())[0]
 
@@ -873,21 +866,20 @@ def sweep_capacity(n_max: int, config: SolverConfig | None = None):
     for n in range(1, n_max + 1):
         spec = ChannelSpec(n)
         if half is not None:
-            report, half = _refine(spec, *half, config.kkt_tol, 2)
+            report, half = _refine(spec, *half, config.kkt_tol, range(1, 3))
         if half is None:
             report, half = _solve(spec, config)
         yield report
 
 
-def _refine(spec: ChannelSpec, h: np.ndarray, v: np.ndarray, tol: float, max_outer: int,
-            spent: int = 0):
+def _refine(spec: ChannelSpec, h: np.ndarray, v: np.ndarray, tol: float, outers: range):
     """The outer-iteration loop: polish the half support, certify its input
     and, where that does not certify, add an atom of mass 1e-3 at the escape
-    candidate and go round again, counting outer iterations from spent + 1.
+    candidate and go round again, numbering the outer iterations by outers.
     Returns (report, (h, v)) of the first certified iterate, or (report of
-    the last iterate, None) once the count reaches max_outer or no escape
-    candidate is left."""
-    for outer in range(spent + 1, max_outer + 1):
+    the last iterate, None) once outers run out or no escape candidate is
+    left."""
+    for outer in outers:
         h, v = _merge_half(*_polish(spec, h, v))
         dist = _full_input(h, v)
         summary, peak_x, peak_i, logq = _certify(dist, spec, tol)
@@ -901,19 +893,18 @@ def _refine(spec: ChannelSpec, h: np.ndarray, v: np.ndarray, tol: float, max_out
 
 
 def _cold_starts(spec: ChannelSpec):
-    """The starts of a cold solve, in order: the Newton solution from each
-    seed of `_seed_support` where Newton reaches one, then the loose ascent
-    of I from each seed, first from those Newton did not solve (the others'
-    solutions were refined already).  A seed's masses are one Blahut-Arimoto
-    update of the uniform start, taken when the seed is first reached."""
-    seeds = [], []   # where Newton stalled, where it solved
+    """A cold solve's starts: Newton's solution from each `_seed_support`
+    seed where it reaches one, then the loose ascent of I from the others.
+    A seed's masses are one Blahut-Arimoto update, taken when it is reached."""
+    stalled = []
     for h, _ in _seed_support(spec):
         v = _ba_core(spec, h, -np.inf, max_iters=1, orbits=True)[0]
         nh, nv, status, _ = _kkt_newton(spec, h, v)
-        seeds[status == "ok"].append((h, v))
         if status == "ok":
             yield nh, nv
-    for h, v in seeds[0] + seeds[1]:
+        else:
+            stalled.append((h, v))
+    for h, v in stalled:
         # loose: Newton follows, and `_polish` ascends in full where it stalls
         yield _merge_half(*_ascend_information(spec, h, v, tol=1e-10))
 
@@ -928,12 +919,15 @@ def _solve(spec: ChannelSpec, config: SolverConfig):
 
     budget, spent, kept = config.max_outer_iters, 0, None
     for h, v in _cold_starts(spec):
-        report, half = _refine(spec, h, v, config.kkt_tol, budget, spent)
+        report, half = _refine(spec, h, v, config.kkt_tol, range(spent + 1, budget + 1))
         spent = report.iterations
-        solved = half is not None and max(report.kkt_slack, report.equality_defect) <= _NEWTON_TOL
-        if half is not None and kept is None or solved:
+        # within kkt_tol / 100, 1e-10 by default: the level of Newton solutions,
+        # below every certified start that a later start bettered
+        settled = half is not None and (max(report.kkt_slack, report.equality_defect)
+                                        <= 0.01 * config.kkt_tol)
+        if half is not None and kept is None or settled:
             kept = report, half
-        if solved or spent == budget:
+        if settled or spent == budget:
             break
     report, half = kept or (report, half)
     if half is None:

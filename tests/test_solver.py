@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -613,7 +614,7 @@ class TestSolverVariants:
 
         monkeypatch.setattr(solver, "_certify", spy)
         # with no escape atom, no start certifies n = 132: it takes one outer
-        # iteration per start, three in all, and the budget counts them
+        # iteration per start, two in all, and the budget counts them
         # together (n = 19 certifies in its second)
         monkeypatch.setattr(solver, "_escape_candidates", lambda *args: np.array([]))
         report = solve_capacity(ChannelSpec(132), SolverConfig(max_outer_iters=2))
@@ -646,12 +647,100 @@ class TestSolverVariants:
         assert "no peak away from the atoms" in caplog.text
         assert "outer-iteration budget spent" not in caplog.text
 
+    @staticmethod
+    def _stub_starts(monkeypatch, outcomes):
+        """Stub `_cold_starts` and `_refine`: start i spends outcomes[i][0]
+        outer iterations (as many as the budget leaves) and ends certified at
+        slack outcomes[i][1], or uncertified where that is None.  Returns the
+        indices of the starts taken, filled in as the solve takes them."""
+        taken = []
+
+        def starts(spec):
+            for i in range(len(outcomes)):
+                taken.append(i)
+                yield np.array([float(i)]), np.ones(1)
+
+        def refine(spec, h, v, tol, outers):
+            used, slack = outcomes[int(h[0])]
+            outer = min(outers.start + used - 1, outers.stop - 1)
+            certified = slack is not None and outer == outers.start + used - 1
+            report = SimpleNamespace(iterations=outer, kkt_slack=slack if certified else 1e-6,
+                                     equality_defect=0.0, converged=certified)
+            return report, ((h, v) if certified else None)
+
+        monkeypatch.setattr(solver, "_cold_starts", starts)
+        monkeypatch.setattr(solver, "_refine", refine)
+        return taken
+
+    def test_off_newton_start_is_kept_over_a_later_uncertified_one(self, monkeypatch):
+        # the first start certifies above kkt_tol / 100, so the next one runs;
+        # it does not certify, and the solve reports the first
+        taken = self._stub_starts(monkeypatch, [(1, 5e-9), (2, None)])
+        report, half = solver._solve(ChannelSpec(40), SolverConfig())
+        assert taken == [0, 1]
+        assert half is not None and report.kkt_slack == 5e-9 and report.iterations == 1
+
+    def test_later_start_at_a_newton_solution_settles_the_solve(self, monkeypatch):
+        # slack 1e-12 is within kkt_tol / 100: that start is reported, and no
+        # start after it runs; the iteration count runs across the starts
+        taken = self._stub_starts(monkeypatch, [(1, 5e-9), (2, 1e-12), (1, 1e-13)])
+        report, half = solver._solve(ChannelSpec(40), SolverConfig())
+        assert taken == [0, 1]
+        assert half is not None and report.kkt_slack == 1e-12 and report.iterations == 3
+
+    def test_settle_bar_follows_kkt_tol(self, monkeypatch):
+        # at kkt_tol = 1e-6, slack 5e-9 is within kkt_tol / 100
+        taken = self._stub_starts(monkeypatch, [(1, 5e-9), (1, 1e-12)])
+        report, _ = solver._solve(ChannelSpec(40), SolverConfig(kkt_tol=1e-6))
+        assert taken == [0] and report.kkt_slack == 5e-9
+
+    @pytest.mark.parametrize("outcomes, certified", [([(2, None), (5, None), (1, 1e-12)], False),
+                                                     ([(3, 5e-9), (1, 1e-12)], True)])
+    def test_spent_budget_ends_the_solve(self, monkeypatch, caplog, outcomes, certified):
+        # max_outer_iters = 3 bounds all starts together: the start that
+        # reaches it is the last one taken
+        taken = self._stub_starts(monkeypatch, outcomes)
+        with caplog.at_level(logging.WARNING, logger="binomcap.solver"):
+            report, half = solver._solve(ChannelSpec(40), SolverConfig(max_outer_iters=3))
+        assert taken == list(range(len(outcomes) - 1))
+        assert report.iterations == 3 and (half is not None) == certified
+        assert ("outer-iteration budget spent" in caplog.text) == (not certified)
+
     def test_budgeted_large_n_certify(self, solved):
         # criterion 3's budgeted solves, at a Newton solution
         for n in (512, 1024):
             report = solved(n, max_outer_iters=16)
             assert report.converged
             assert report.kkt_slack <= 1e-10 and report.equality_defect <= 1e-10
+
+
+class TestRowsDot:
+    @pytest.mark.parametrize("m, K, k", [(46, 48, 513), (75, 77, 1025), (195, 197, 4097)])
+    def test_equals_the_blas_product_to_rounding(self, m, K, k):
+        rng = np.random.default_rng(m)
+        A, B = rng.random((m, k)), rng.random((K, k))
+        assert m * K * k >= 1 << 18
+        ref = A @ B.T
+        assert np.max(np.abs(solver._rows_dot(A, B) - ref)) <= 1e-14 * np.abs(ref).max()
+
+    def test_is_the_blas_product_below_two_to_the_eighteen(self):
+        # every n <= 300 keeps the plain product's bits (sweep --n-max 300)
+        rng = np.random.default_rng(1)
+        A, B = rng.random((29, 257)), rng.random((31, 257))
+        assert np.array_equal(solver._rows_dot(A, B), A @ B.T)
+
+    def test_same_bits_at_one_and_two_threads(self):
+        # shapes where OpenBLAS's own product differs between thread counts
+        code = ("import hashlib, numpy as np; from binomcap import solver; "
+                "rng = np.random.default_rng(0); h = hashlib.md5(); "
+                "[h.update(solver._rows_dot(rng.random((K - 2, k)), rng.random((K, k))).tobytes()) "
+                "for K, k in [(48, 513), (78, 1025), (122, 2049), (201, 4097)]]; "
+                "print(h.hexdigest())")
+        out = [subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
+                              text=True, env={**os.environ, "OPENBLAS_NUM_THREADS": str(t),
+                                              "PYTHONPATH": os.pathsep.join(sys.path)}).stdout
+               for t in (1, 2)]
+        assert out[0] == out[1]
 
 
 class TestSweepCapacity:
