@@ -3,14 +3,20 @@
 The n <= 3 solutions are stored as exact rationals and converted to floats
 only at the boundary, so the fixtures cannot drift.  The grid oracle
 maximizes the mutual information over a uniform input grid by accelerated
-mirror ascent with a monotone Blahut-Arimoto safeguard, certifies its duality
-gap over the full grid, and shares nothing with the production solver beyond
+mirror ascent with a monotone Blahut-Arimoto safeguard.  It runs on the
+mirror orbits {x, 1 - x} of the grid and loses nothing by it: the
+information is concave in the grid weights and unchanged by mirroring them
+(P(y | 1 - x) = P(n - y | x)), so its grid maximum is reached at symmetric
+weights, and with symmetric weights the information density is even about
+1/2, so its maximum over the orbit points certifies the duality gap over
+the full grid.  The oracle shares nothing with the production solver beyond
 pmf evaluation (`log_pmf_matrix`).
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -80,19 +86,47 @@ def exact_solution(n: int) -> ExactSolution:
     )
 
 
-def _densities(q: np.ndarray, P: np.ndarray, H: np.ndarray) -> np.ndarray:
-    """Information densities D_k of every grid point against the output pmf q."""
-    return H - P @ np.log(np.maximum(q, 1e-300))
+def _check_count(value, name: str, least: int) -> None:
+    """An iteration or point count is an integer of at least `least`; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
-def _information(w: np.ndarray, q: np.ndarray, P: np.ndarray, H: np.ndarray):
-    """I(w) and the information densities D_k of the grid input w with output pmf q."""
-    D = _densities(q, P, H)
+def _orbit_channel(spec: ChannelSpec, grid_points: int):
+    """Channel terms of the mirror orbits {x_k, 1 - x_k}, k = 0..m - 1, of the
+    uniform grid, m = (grid_points + 1) / 2; the centre x = 1/2 is its own orbit.
+
+    Returns PT, the (n + 1) x m transposed channel rows P(y | x_k) of the
+    orbit points x_k <= 1/2; RT, the transposed orbit rows
+    R_k = (P(y | x_k) + P(y | 1 - x_k)) / 2 = (P(y | x_k) + P(n - y | x_k)) / 2,
+    so that q = RT u is the output pmf of orbit weights u split evenly over
+    each pair; and H, the negative entropies of the rows, equal at x and
+    1 - x.  Both matrices are C-contiguous, so the densities log q PT and the
+    output pmf RT u are each one BLAS product.
+    """
+    xs = np.linspace(0.0, 1.0, grid_points)[: grid_points // 2 + 1]
+    logP = log_pmf_matrix(spec, xs)
+    P = np.exp(logP)
+    with np.errstate(invalid="ignore"):
+        H = np.sum(np.where(P > 0, P * logP, 0.0), axis=1)
+    R = (P + P[:, ::-1]) / 2
+    return np.ascontiguousarray(P.T), np.ascontiguousarray(R.T), H
+
+
+def _densities(q: np.ndarray, PT: np.ndarray, H: np.ndarray) -> np.ndarray:
+    """Information densities D_k of the orbit points x_k against the output pmf q."""
+    return H - np.log(np.maximum(q, 1e-300)) @ PT
+
+
+def _information(w: np.ndarray, q: np.ndarray, PT: np.ndarray, H: np.ndarray):
+    """I(w) and the information densities D_k of the orbit weights w with
+    symmetric output pmf q; D is even about 1/2, so w.D is I of the split weights."""
+    D = _densities(q, PT, H)
     return float(w @ D), D
 
 
 def _information_value(w: np.ndarray, q: np.ndarray, H: np.ndarray) -> float:
-    """I(w) = w.H - q.log q of the grid input w with output pmf q = w P.
+    """I(w) = w.H - q.log q of the orbit weights w with output pmf q = RT w.
 
     Equal to w.D of `_information` up to rounding, but its only channel
     term is the (n + 1)-cell sum over q: no product with the channel matrix.
@@ -100,13 +134,14 @@ def _information_value(w: np.ndarray, q: np.ndarray, H: np.ndarray) -> float:
     return float(w @ H - q @ np.log(np.maximum(q, 1e-300)))
 
 
-def _plain_step(x: np.ndarray, q: np.ndarray, P: np.ndarray, H: np.ndarray):
+def _plain_step(x: np.ndarray, q: np.ndarray, PT: np.ndarray, RT: np.ndarray,
+                H: np.ndarray):
     """One Blahut-Arimoto step x * exp(D - max D) from x with output pmf q,
     normalized; it never lowers I.  Returns the new x, its output pmf and I."""
-    D = _densities(q, P, H)
+    D = _densities(q, PT, H)
     x = x * np.exp(D - D.max())
     x /= x.sum()
-    q = x @ P
+    q = RT @ x
     return x, q, _information_value(x, q, H)
 
 
@@ -114,59 +149,64 @@ def brute_force_grid_capacity(spec: ChannelSpec, grid_points: int, tol: float,
                               max_iters: int = 2_000_000) -> float:
     """Capacity lower bound from accelerated mirror ascent on a uniform grid.
 
-    No support refinement, no symmetrization: a from-scratch cross-check of
-    the production solver.  The mutual information I(w) over the grid weights
-    w is maximized by the accelerated Bregman scheme in the entropy geometry
-    (Hanzely, Richtarik & Xiao, 2021) with relative-smoothness constant 1, the
-    constant that makes plain Blahut-Arimoto a unit step.  Iteration k mixes
-    y = (1 - t) x + t z with t = 2 / (k + 2), takes the mirror step
+    No support refinement: a from-scratch cross-check of the production
+    solver.  The mutual information I(w) over the grid weights w is concave
+    and, since P(y | 1 - x) = P(n - y | x), takes the same value at w and at
+    its mirror image.  So the mirror average of any w is at least as good,
+    and the grid maximum is reached at a symmetric w: the ascent runs on the
+    m = (grid_points + 1) / 2 orbit weights of the pairs {x_k, 1 - x_k}, each
+    split evenly over its pair, and loses nothing.  It starts from the
+    uniform grid, 2 / grid_points per pair and 1 / grid_points at the centre.
+
+    I is maximized by the accelerated Bregman scheme in the entropy geometry
+    (Hanzely, Richtarik & Xiao, 2021) with relative-smoothness constant 1,
+    the constant that makes plain Blahut-Arimoto a unit step.  Iteration k
+    mixes y = (1 - t) x + t z with t = 2 / (k + 2), takes the mirror step
     z <- z * exp(D(y) / t) and sets x <- (1 - t) x + t z.  If the new x has
     lower I, a plain Blahut-Arimoto step from the old x replaces it and
     restarts the scheme, so I(x) never decreases.  Every 50 iterations z
     replaces x when I(z) is higher, and the duality gap max_k D_k - I(x) is
-    certified over the full grid.  The value returned is I(x) of a grid
-    distribution whose gap is at most tol; raises if that does not happen
-    within the iteration cap.
+    certified.  A symmetric output pmf makes the density D even about 1/2,
+    so its maximum over the orbit points is its maximum over the full grid:
+    the value returned is I(x) of a grid distribution whose full-grid gap is
+    at most tol; raises if that does not happen within the iteration cap.
 
     Output pmfs mix linearly with their inputs, and I(w) = w.H - q.log q
-    with q = w P, where H_k is the negative entropy of row k of the channel
-    matrix P.  So an iteration takes two products with P: the densities
-    D(y) = H - P log q_y from the mixed pmf q_y, and q_z = z P.  The
-    densities of x itself are formed only at the 50-iteration certificate
-    (one product, where I(z) is compared with I(x) from q_z alone) and at
-    a plain step.
+    with q = RT w, where H_k is the negative entropy of the channel row of
+    x_k.  So an iteration takes two products with the (n + 1) x m channel
+    matrices: the densities D(y) = H - log q_y PT from the mixed pmf q_y,
+    and q_z = RT z.  The densities of x itself are formed only at the
+    50-iteration certificate (one product, where I(z) is compared with I(x)
+    from q_z alone) and at a plain step.
     """
-    if grid_points < 101 or grid_points % 2 == 0:
-        raise ValueError("grid_points must be odd and at least 101")
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-    if max_iters < 0:
-        raise ValueError("max_iters must be non-negative")
-    xs = np.linspace(0.0, 1.0, grid_points)
-    logP = log_pmf_matrix(spec, xs)
-    P = np.exp(logP)
-    with np.errstate(invalid="ignore"):
-        H = np.sum(np.where(P > 0, P * logP, 0.0), axis=1)
-    x = z = np.full(grid_points, 1.0 / grid_points)
-    qz, lo, k = z @ P, -math.inf, 0
+    _check_count(grid_points, "grid_points", 101)
+    if grid_points % 2 == 0:
+        raise ValueError(f"grid_points must be odd, got {grid_points}")
+    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+    _check_count(max_iters, "max_iters", 0)
+    PT, RT, H = _orbit_channel(spec, grid_points)
+    x = z = np.full(PT.shape[1], 2.0 / grid_points)
+    z[-1] = 1.0 / grid_points
+    qz, lo, k = RT @ z, -math.inf, 0
     for it in range(max_iters + 1):
         if it % _CHECK_EVERY == 0 or it == max_iters:
             if _information_value(z, qz, H) > lo:
                 x, qx = z, qz
-            lo, Dx = _information(x, qx, P, H)
+            lo, Dx = _information(x, qx, PT, H)
             if float(Dx.max()) - lo <= tol:
                 return lo
             if it == max_iters:
                 break
         t = 2.0 / (k + 2)
-        Dy = _densities((1 - t) * qx + t * qz, P, H)
+        Dy = _densities((1 - t) * qx + t * qz, PT, H)
         z = z * np.exp((Dy - Dy.max()) / t)
         z /= z.sum()
-        qz = z @ P
+        qz = RT @ z
         xc, qc = (1 - t) * x + t * z, (1 - t) * qx + t * qz
         info = _information_value(xc, qc, H)
         if info < lo:
-            x, qx, lo = _plain_step(x, qx, P, H)
+            x, qx, lo = _plain_step(x, qx, PT, RT, H)
             z, qz, k = x, qx, 0
         else:
             x, qx, lo, k = xc, qc, info, k + 1

@@ -1,5 +1,7 @@
+import ast
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from binomcap import (
     kkt_verify,
     report_for_distribution,
 )
-from binomcap.kernel import log_pmf_matrix
+from grid_reference import full_grid_capacity, full_grid_channel, full_grid_densities
 
 
 class TestExactSolutions:
@@ -91,8 +93,22 @@ class TestGridOracle:
         # iteration cap and report a gap of nan
         with pytest.raises(ValueError, match="tol"):
             brute_force_grid_capacity(ChannelSpec(2), 101, math.nan)
-        with pytest.raises(ValueError, match="max_iters"):
-            brute_force_grid_capacity(ChannelSpec(2), 101, 1e-6, max_iters=-1)
+        # an infinite tol would certify the uniform start (I = 0.337 at
+        # n = 2, where C = 0.754)
+        for tol in (math.inf, -math.inf, -1e-6, True, "1e-6", None):
+            with pytest.raises(ValueError, match="tol"):
+                brute_force_grid_capacity(ChannelSpec(2), 101, tol)
+        for grid in (101.0, 10.5, True, "101", None):
+            with pytest.raises(ValueError, match="grid_points"):
+                brute_force_grid_capacity(ChannelSpec(2), grid, 1e-6)
+        for iters in (-1, 10.5, 100.0, True, False, "10"):
+            with pytest.raises(ValueError, match="max_iters"):
+                brute_force_grid_capacity(ChannelSpec(2), 101, 1e-6, max_iters=iters)
+
+    def test_numpy_arguments_accepted(self):
+        got = brute_force_grid_capacity(ChannelSpec(1), np.int64(101), np.float64(1e-10),
+                                        max_iters=np.int32(1000))
+        assert got == pytest.approx(math.log(2), abs=1e-9)
 
     def test_iteration_cap_raises(self):
         with pytest.raises(RuntimeError):
@@ -132,45 +148,93 @@ class TestGridOracle:
     @pytest.mark.parametrize("n", [1, 16, 93])
     def test_information_value_matches_densities(self, n):
         # I(w) = w.H - q.log q needs no channel product; it must agree with
-        # the density form w.D, also where weights are exactly zero
-        xs = np.linspace(0.0, 1.0, 4097)
-        logP = log_pmf_matrix(ChannelSpec(n), xs)
-        P = np.exp(logP)
-        with np.errstate(invalid="ignore"):
-            H = np.sum(np.where(P > 0, P * logP, 0.0), axis=1)
+        # the density form w.D on the orbit rows, also where weights are
+        # exactly zero
+        PT, RT, H = oracles._orbit_channel(ChannelSpec(n), 4097)
+        assert PT.shape == RT.shape == (n + 1, 2049)
         rng = np.random.default_rng(n)
-        for zeros in (0, 100, 4000):
-            w = rng.random(4097)
-            w[rng.choice(4097, zeros, replace=False)] = 0.0
+        for zeros in (0, 100, 2000):
+            w = rng.random(2049)
+            w[rng.choice(2049, zeros, replace=False)] = 0.0
             w /= w.sum()
-            q = w @ P
-            info, _ = oracles._information(w, q, P, H)
+            q = RT @ w
+            info, _ = oracles._information(w, q, PT, H)
             assert abs(oracles._information_value(w, q, H) - info) <= 1e-14
 
+    @pytest.mark.parametrize("n", [1, 16, 93])
+    def test_orbit_densities_are_full_grid_densities(self, n):
+        # random orbit weights split evenly over each pair {x, 1 - x} give
+        # the same output pmf, and the half-row densities are the full-grid
+        # densities at both x and 1 - x: the orbit certificate is the
+        # full-grid certificate
+        spec = ChannelSpec(n)
+        PT, RT, H = oracles._orbit_channel(spec, 4097)
+        P, H_full = full_grid_channel(spec, 4097)
+        rng = np.random.default_rng(100 + n)
+        u = rng.random(2049)
+        u /= u.sum()
+        w = np.concatenate([u[:-1] / 2, u[-1:], u[-2::-1] / 2])
+        q = RT @ u
+        np.testing.assert_allclose(q, w @ P, rtol=0, atol=1e-15)
+        D = oracles._densities(q, PT, H)
+        D_full = full_grid_densities(w @ P, P, H_full)
+        # relative to max(1, |D|): the full grid evaluates the kernel at x and
+        # at 1 - x separately, so its own D is even only to rounding (1.3e-14
+        # apart at n = 93, where D = 1.65)
+        scale = 1e-14 * np.maximum(1.0, np.abs(D))
+        assert np.all(np.abs(D_full[:2049] - D) <= scale)
+        assert np.all(np.abs(D_full[::-1][:2049] - D) <= scale)
+
+    @pytest.mark.parametrize("n", [3, 16])
+    def test_orbit_ascent_is_the_full_grid_ascent(self, monkeypatch, n):
+        # the same scheme on every grid weight returns the same value after
+        # the same number of density products
+        densities = oracles._densities
+        products = []
+
+        def spy(q, PT, H):
+            products.append(PT.shape)
+            return densities(q, PT, H)
+
+        monkeypatch.setattr(oracles, "_densities", spy)
+        got = brute_force_grid_capacity(ChannelSpec(n), 1001, 5e-6)
+        want, want_products = full_grid_capacity(ChannelSpec(n), 1001, 5e-6)
+        assert abs(got - want) <= 2e-15
+        assert len(products) == want_products
+        assert set(products) == {(n + 1, 501)}
+
     def test_densities_formed_only_at_certificates_and_plain_steps(self, monkeypatch):
-        # an iteration takes two channel products (the look-ahead densities
-        # and z P); the candidate's I and the certificate's I(z) come from
-        # _information_value, and the density form runs once per certificate
-        # (the densities of x) and when a plain step is taken
+        # an iteration takes two products with the (n + 1) x 501 orbit
+        # matrices (the look-ahead densities and RT z); the candidate's I and
+        # the certificate's I(z) come from _information_value, and the
+        # density form runs once per certificate (the densities of x) and
+        # when a plain step is taken
         information = oracles._information
         information_value = oracles._information_value
         plain_step = oracles._plain_step
-        calls = {"information": 0, "value": 0, "plain": 0}
+        densities = oracles._densities
+        calls = {"information": 0, "value": 0, "plain": 0, "densities": 0}
+        shapes = set()
 
         def count(name, f):
             def spy(*args):
                 calls[name] += 1
+                shapes.update(a.shape for a in args if isinstance(a, np.ndarray) and a.ndim == 2)
                 return f(*args)
             return spy
 
         monkeypatch.setattr(oracles, "_information", count("information", information))
         monkeypatch.setattr(oracles, "_information_value", count("value", information_value))
         monkeypatch.setattr(oracles, "_plain_step", count("plain", plain_step))
+        monkeypatch.setattr(oracles, "_densities", count("densities", densities))
         brute_force_grid_capacity(ChannelSpec(3), 1001, 1e-6)
-        certificates = calls["information"] - calls["plain"]
+        certificates = calls["information"]
         candidates = calls["value"] - calls["plain"] - certificates
         assert candidates > 0
         assert certificates == candidates // 50 + 1
+        # one look-ahead per candidate, one per certificate and plain step
+        assert calls["densities"] == candidates + certificates + calls["plain"]
+        assert shapes == {(4, 501)}
 
     @pytest.mark.parametrize("tol", [1e-5, 1e-6])
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -186,3 +250,23 @@ class TestGridOracle:
         # 316 000 iterations here
         got = brute_force_grid_capacity(ChannelSpec(1), 101, 1e-10, max_iters=1000)
         assert got == pytest.approx(math.log(2), abs=1e-9)
+
+
+def test_oracle_shares_only_the_pmf_with_the_library():
+    # the oracle is an independent cross-check: it may take the channel and
+    # its pmf from the kernel, and nothing from the solver
+    tree = ast.parse((Path(oracles.__file__)).read_text())
+    kernel_names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                assert alias.name.split(".")[-1] not in ("solver", "kernel"), alias.name
+        elif isinstance(node, ast.ImportFrom):
+            module = (node.module or "").split(".")[-1]
+            names = {alias.name for alias in node.names}
+            assert module != "solver" and "solver" not in names, ast.dump(node)
+            assert "kernel" not in names, ast.dump(node)
+            if module == "kernel":
+                kernel_names |= names
+    assert kernel_names <= {"ChannelSpec", "log_pmf_matrix"}
+    assert "log_pmf_matrix" in kernel_names
