@@ -96,32 +96,32 @@ def _orbit_channel(spec: ChannelSpec, grid_points: int):
     """Channel terms of the mirror orbits {x_k, 1 - x_k}, k = 0..m - 1, of the
     uniform grid, m = (grid_points + 1) / 2; the centre x = 1/2 is its own orbit.
 
-    Returns PT, the (n + 1) x m transposed channel rows P(y | x_k) of the
-    orbit points x_k <= 1/2; RT, the transposed orbit rows
+    Returns RT, the (n + 1) x m transposed orbit rows
     R_k = (P(y | x_k) + P(y | 1 - x_k)) / 2 = (P(y | x_k) + P(n - y | x_k)) / 2,
     so that q = RT u is the output pmf of orbit weights u split evenly over
     each pair; and H, the negative entropies of the rows, equal at x and
-    1 - x.  Both matrices are C-contiguous, so the densities log q PT and the
-    output pmf RT u are each one BLAS product.
+    1 - x.  An orbit row's density H_k - log q R_k is the mean of the
+    densities at x_k and 1 - x_k, so against a symmetric q it is both.  RT
+    is C-contiguous: the densities log q RT and the output pmf RT u are
+    each one BLAS product with it.
     """
     xs = np.linspace(0.0, 1.0, grid_points)[: grid_points // 2 + 1]
     logP = log_pmf_matrix(spec, xs)
     P = np.exp(logP)
     with np.errstate(invalid="ignore"):
         H = np.sum(np.where(P > 0, P * logP, 0.0), axis=1)
-    R = (P + P[:, ::-1]) / 2
-    return np.ascontiguousarray(P.T), np.ascontiguousarray(R.T), H
+    return np.ascontiguousarray(((P + P[:, ::-1]) / 2).T), H
 
 
-def _densities(q: np.ndarray, PT: np.ndarray, H: np.ndarray) -> np.ndarray:
-    """Information densities D_k of the orbit points x_k against the output pmf q."""
-    return H - np.log(np.maximum(q, 1e-300)) @ PT
+def _densities(q: np.ndarray, RT: np.ndarray, H: np.ndarray) -> np.ndarray:
+    """Densities D_k of the orbit rows against q; for a symmetric q, at x_k and 1 - x_k."""
+    return H - np.log(np.maximum(q, 1e-300)) @ RT
 
 
-def _information(w: np.ndarray, q: np.ndarray, PT: np.ndarray, H: np.ndarray):
+def _information(w: np.ndarray, q: np.ndarray, RT: np.ndarray, H: np.ndarray):
     """I(w) and the information densities D_k of the orbit weights w with
     symmetric output pmf q; D is even about 1/2, so w.D is I of the split weights."""
-    D = _densities(q, PT, H)
+    D = _densities(q, RT, H)
     return float(w @ D), D
 
 
@@ -134,11 +134,10 @@ def _information_value(w: np.ndarray, q: np.ndarray, H: np.ndarray) -> float:
     return float(w @ H - q @ np.log(np.maximum(q, 1e-300)))
 
 
-def _plain_step(x: np.ndarray, q: np.ndarray, PT: np.ndarray, RT: np.ndarray,
-                H: np.ndarray):
+def _plain_step(x: np.ndarray, q: np.ndarray, RT: np.ndarray, H: np.ndarray):
     """One Blahut-Arimoto step x * exp(D - max D) from x with output pmf q,
     normalized; it never lowers I.  Returns the new x, its output pmf and I."""
-    D = _densities(q, PT, H)
+    D = _densities(q, RT, H)
     x = x * np.exp(D - D.max())
     x /= x.sum()
     q = RT @ x
@@ -166,16 +165,17 @@ def brute_force_grid_capacity(spec: ChannelSpec, grid_points: int, tol: float,
     lower I, a plain Blahut-Arimoto step from the old x replaces it and
     restarts the scheme, so I(x) never decreases.  Every 50 iterations z
     replaces x when I(z) is higher, and the duality gap max_k D_k - I(x) is
-    certified.  A symmetric output pmf makes the density D even about 1/2,
-    so its maximum over the orbit points is its maximum over the full grid:
-    the value returned is I(x) of a grid distribution whose full-grid gap is
-    at most tol; raises if that does not happen within the iteration cap.
+    certified.  A symmetric output pmf makes the density even about 1/2,
+    so each orbit row's density is the density at both of its points, and
+    their maximum is the maximum over the full grid: the value returned is
+    I(x) of a grid distribution whose full-grid gap is at most tol; raises
+    if that does not happen within the iteration cap.
 
     Output pmfs mix linearly with their inputs, and I(w) = w.H - q.log q
     with q = RT w, where H_k is the negative entropy of the channel row of
-    x_k.  So an iteration takes two products with the (n + 1) x m channel
-    matrices: the densities D(y) = H - log q_y PT from the mixed pmf q_y,
-    and q_z = RT z.  The densities of x itself are formed only at the
+    x_k.  So an iteration takes two products with the one (n + 1) x m
+    orbit matrix: the densities D(y) = H - log q_y RT from the mixed pmf
+    q_y, and q_z = RT z.  The densities of x itself are formed only at the
     50-iteration certificate (one product, where I(z) is compared with I(x)
     from q_z alone) and at a plain step.
     """
@@ -185,28 +185,28 @@ def brute_force_grid_capacity(spec: ChannelSpec, grid_points: int, tol: float,
     if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
     _check_count(max_iters, "max_iters", 0)
-    PT, RT, H = _orbit_channel(spec, grid_points)
-    x = z = np.full(PT.shape[1], 2.0 / grid_points)
+    RT, H = _orbit_channel(spec, grid_points)
+    x = z = np.full(RT.shape[1], 2.0 / grid_points)
     z[-1] = 1.0 / grid_points
     qz, lo, k = RT @ z, -math.inf, 0
     for it in range(max_iters + 1):
         if it % _CHECK_EVERY == 0 or it == max_iters:
             if _information_value(z, qz, H) > lo:
                 x, qx = z, qz
-            lo, Dx = _information(x, qx, PT, H)
+            lo, Dx = _information(x, qx, RT, H)
             if float(Dx.max()) - lo <= tol:
                 return lo
             if it == max_iters:
                 break
         t = 2.0 / (k + 2)
-        Dy = _densities((1 - t) * qx + t * qz, PT, H)
+        Dy = _densities((1 - t) * qx + t * qz, RT, H)
         z = z * np.exp((Dy - Dy.max()) / t)
         z /= z.sum()
         qz = RT @ z
         xc, qc = (1 - t) * x + t * z, (1 - t) * qx + t * qz
         info = _information_value(xc, qc, H)
         if info < lo:
-            x, qx, lo = _plain_step(x, qx, PT, RT, H)
+            x, qx, lo = _plain_step(x, qx, RT, H)
             z, qz, k = x, qx, 0
         else:
             x, qx, lo, k = xc, qc, info, k + 1

@@ -59,9 +59,15 @@ _MERGE_RADIUS = 1e-4   # half-support atoms at most this far apart merge
 
 
 def _check_tol(tol, name: str) -> None:
-    """A KKT tolerance is a real number in (0, inf); a bool is not one."""
+    """A tolerance is a real number in (0, inf); a bool is not one."""
     if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0 < tol < math.inf:
         raise ValueError(f"{name} must be positive and finite, got {tol}")
+
+
+def _check_count(count, name: str) -> None:
+    """An iteration budget is an integer >= 1; a bool is not one."""
+    if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {count!r}")
 
 
 @dataclass(frozen=True)
@@ -74,9 +80,7 @@ class SolverConfig:
 
     def __post_init__(self):
         _check_tol(self.kkt_tol, "kkt_tol")
-        m = self.max_outer_iters
-        if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
-            raise ValueError(f"max_outer_iters must be an integer >= 1, got {m!r}")
+        _check_count(self.max_outer_iters, "max_outer_iters")
 
 
 @dataclass(frozen=True)
@@ -190,10 +194,12 @@ def blahut_arimoto(spec: ChannelSpec, grid, tol: float,
     that iterate.
     """
     grid = np.asarray(grid, dtype=float)
-    if len(grid) < 2:
-        raise ValueError("support grid needs at least two points")
-    if np.any(np.diff(grid) <= 0) or grid[0] < 0 or grid[-1] > 1:
-        raise ValueError("support grid must be strictly increasing within [0, 1]")
+    # NaN fails each comparison
+    if not (len(grid) >= 2 and np.all(np.diff(grid) > 0) and 0 <= grid[0] and grid[-1] <= 1):
+        raise ValueError("support grid must be two or more finite points, strictly "
+                         "increasing within [0, 1]")
+    _check_tol(tol, "tol")
+    _check_count(max_iters, "max_iters")
     return BAResult(*_ba_core(spec, grid, tol, max_iters))
 
 
@@ -231,11 +237,11 @@ def _full_input(h: np.ndarray, v: np.ndarray) -> DiscreteInput:
 
 
 def _seed_support(spec: ChannelSpec):
-    """The two best seed half supports, best first, each with equal orbit
-    masses.  In phi sqrt(n), phi = 2 arcsin sqrt(x), the k-th gap of the
-    certified half supports is the same at every n from 50 to 300 (README,
-    "Solver internals"): an edge layer over an arcsine bulk, as in Xie &
-    Barron's modified Jeffreys prior.  A seed keeps the edge gap pi, then
+    """The atoms of the two best seed half supports, best first; their
+    masses come in `_cold_starts`.  In phi sqrt(n), phi = 2 arcsin sqrt(x),
+    the k-th gap of the certified half supports is the same at every n from
+    50 to 300 (README, "Solver internals"): an edge layer over an arcsine
+    bulk, as in Xie & Barron's modified Jeffreys prior.  A seed keeps the edge gap pi, then
     g_k = 2.24 (k / 2)^-0.283 (a fit over the Newton solutions of
     n = 100..300) stretched by one factor lambda to meet phi = pi / 2 at a
     centre atom or half-way across a pair; |log lambda| ranks them.  For
@@ -244,7 +250,7 @@ def _seed_support(spec: ChannelSpec):
     n = spec.n
     rest = 0.5 * math.pi * math.sqrt(n) - math.pi
     if rest <= 0.0:
-        return [(np.array([0.0, 0.5]), np.array([0.5, 0.5]))]
+        return [np.array([0.0, 0.5])]
     # g_2, g_3, ...: their sum passes 1.68 rest for every n up to 4096
     g = 2.24 * (np.arange(2, 2 * int(rest) + 6) / 2.0) ** -0.283
     ends = np.cumsum(g)
@@ -258,7 +264,7 @@ def _seed_support(spec: ChannelSpec):
         h = np.sin(0.5 * u / math.sqrt(n)) ** 2
         if centre:
             h[-1] = 0.5
-        seeds.append((h, np.full(len(h), 1.0 / len(h))))
+        seeds.append(h)
     return seeds
 
 
@@ -578,15 +584,16 @@ def _ascend_information(spec: ChannelSpec, h: np.ndarray, v: np.ndarray, tol: fl
     equality defect of about 1e-10, below the 1e-16 rounding of I: steps of
     gains below 1e-12 are judged on the gradients), the held variables whose
     multipliers point inwards are released: a mass whose i exceeds the mean
-    i of the free orbits, s where g' > 0.  Returns the half support, sorted,
-    without the orbits left at mass 0 (but always with the endpoint orbit).
+    i of the free orbits, s where g' > 0.  Returns `_merge_half` of the half
+    support less the orbits left at mass 0 (the endpoint orbit always
+    stays), or of the start where it starves an output.
     """
     K, n = len(h), spec.n
     h, v = h.copy(), v / v.sum()
     s = (0.5 - h[-1]) ** 2
     model = _ascent_model(spec, h, v)
     if model is None:
-        return h, v
+        return _merge_half(h, v)
     info, g, H = model
     # held: masses (and the atoms of h_int and s with them) and s at 0
     held = np.concatenate([v <= 0.0, v[1:-1] <= 0.0, [v[-1] <= 0.0 or s <= 0.0]])
@@ -657,8 +664,7 @@ def _ascend_information(spec: ChannelSpec, h: np.ndarray, v: np.ndarray, tol: fl
             moved, eig = True, None
     keep = v > 0.0
     keep[0] = True
-    order = np.argsort(h[keep], kind="stable")
-    return h[keep][order], v[keep][order]
+    return _merge_half(h[keep], v[keep])
 
 
 def _polish(spec: ChannelSpec, h: np.ndarray, v: np.ndarray):
@@ -672,7 +678,7 @@ def _polish(spec: ChannelSpec, h: np.ndarray, v: np.ndarray):
     nh, nv, status, fn = _kkt_newton(spec, h, v)
     if status != "ok":
         log.debug("polish: Newton stalled (residual %.1e); direct ascent", fn)
-        h, v = _merge_half(*_ascend_information(spec, h, v))
+        h, v = _ascend_information(spec, h, v)
         nh, nv, status, _ = _kkt_newton(spec, h, v)
     return (nh, nv / nv.sum()) if status == "ok" else (h, v)
 
@@ -810,8 +816,10 @@ def kkt_verify(report: SolveReport, spec: ChannelSpec,
 
     Recomputes the information density and its peaks, and re-derives
     capacity, slack, equality defect, the active set, and all structural
-    flags.
+    flags.  Raises ValueError where spec is not the report's channel.
     """
+    if spec.n != report.n:
+        raise ValueError(f"report is for n = {report.n}, spec for n = {spec.n}")
     return _certify(report.input, spec, tol)[0]
 
 
@@ -897,7 +905,7 @@ def _cold_starts(spec: ChannelSpec):
     seed where it reaches one, then the loose ascent of I from the others.
     A seed's masses are one Blahut-Arimoto update, taken when it is reached."""
     stalled = []
-    for h, _ in _seed_support(spec):
+    for h in _seed_support(spec):
         v = _ba_core(spec, h, -np.inf, max_iters=1, orbits=True)[0]
         nh, nv, status, _ = _kkt_newton(spec, h, v)
         if status == "ok":
@@ -906,7 +914,7 @@ def _cold_starts(spec: ChannelSpec):
             stalled.append((h, v))
     for h, v in stalled:
         # loose: Newton follows, and `_polish` ascends in full where it stalls
-        yield _merge_half(*_ascend_information(spec, h, v, tol=1e-10))
+        yield _ascend_information(spec, h, v, tol=1e-10)
 
 
 def _solve(spec: ChannelSpec, config: SolverConfig):

@@ -87,6 +87,9 @@ class TestGridOracle:
             brute_force_grid_capacity(ChannelSpec(2), 100, 1e-6)
         with pytest.raises(ValueError):
             brute_force_grid_capacity(ChannelSpec(2), 99, 1e-6)
+        # 99 and 100 fail the >= 101 check first: only 102 reaches the odd check
+        with pytest.raises(ValueError, match="odd"):
+            brute_force_grid_capacity(ChannelSpec(2), 102, 1e-6)
         with pytest.raises(ValueError):
             brute_force_grid_capacity(ChannelSpec(2), 101, 0.0)
         # NaN fails every comparison, so it would otherwise run the whole
@@ -150,25 +153,26 @@ class TestGridOracle:
         # I(w) = w.H - q.log q needs no channel product; it must agree with
         # the density form w.D on the orbit rows, also where weights are
         # exactly zero
-        PT, RT, H = oracles._orbit_channel(ChannelSpec(n), 4097)
-        assert PT.shape == RT.shape == (n + 1, 2049)
+        RT, H = oracles._orbit_channel(ChannelSpec(n), 4097)
+        assert RT.shape == (n + 1, 2049)
+        assert RT.flags.c_contiguous
         rng = np.random.default_rng(n)
         for zeros in (0, 100, 2000):
             w = rng.random(2049)
             w[rng.choice(2049, zeros, replace=False)] = 0.0
             w /= w.sum()
             q = RT @ w
-            info, _ = oracles._information(w, q, PT, H)
+            info, _ = oracles._information(w, q, RT, H)
             assert abs(oracles._information_value(w, q, H) - info) <= 1e-14
 
     @pytest.mark.parametrize("n", [1, 16, 93])
     def test_orbit_densities_are_full_grid_densities(self, n):
         # random orbit weights split evenly over each pair {x, 1 - x} give
-        # the same output pmf, and the half-row densities are the full-grid
-        # densities at both x and 1 - x: the orbit certificate is the
-        # full-grid certificate
+        # the same output pmf, and against it the orbit-row densities are the
+        # full-grid densities at both x and 1 - x: the orbit certificate is
+        # the full-grid certificate
         spec = ChannelSpec(n)
-        PT, RT, H = oracles._orbit_channel(spec, 4097)
+        RT, H = oracles._orbit_channel(spec, 4097)
         P, H_full = full_grid_channel(spec, 4097)
         rng = np.random.default_rng(100 + n)
         u = rng.random(2049)
@@ -176,7 +180,7 @@ class TestGridOracle:
         w = np.concatenate([u[:-1] / 2, u[-1:], u[-2::-1] / 2])
         q = RT @ u
         np.testing.assert_allclose(q, w @ P, rtol=0, atol=1e-15)
-        D = oracles._densities(q, PT, H)
+        D = oracles._densities(q, RT, H)
         D_full = full_grid_densities(w @ P, P, H_full)
         # relative to max(1, |D|): the full grid evaluates the kernel at x and
         # at 1 - x separately, so its own D is even only to rounding (1.3e-14
@@ -192,9 +196,9 @@ class TestGridOracle:
         densities = oracles._densities
         products = []
 
-        def spy(q, PT, H):
-            products.append(PT.shape)
-            return densities(q, PT, H)
+        def spy(q, RT, H):
+            products.append(RT.shape)
+            return densities(q, RT, H)
 
         monkeypatch.setattr(oracles, "_densities", spy)
         got = brute_force_grid_capacity(ChannelSpec(n), 1001, 5e-6)
@@ -205,7 +209,7 @@ class TestGridOracle:
 
     def test_densities_formed_only_at_certificates_and_plain_steps(self, monkeypatch):
         # an iteration takes two products with the (n + 1) x 501 orbit
-        # matrices (the look-ahead densities and RT z); the candidate's I and
+        # matrix (the look-ahead densities and RT z); the candidate's I and
         # the certificate's I(z) come from _information_value, and the
         # density form runs once per certificate (the densities of x) and
         # when a plain step is taken

@@ -114,6 +114,24 @@ class TestBlahutArimoto:
         with pytest.raises(ValueError):
             blahut_arimoto(ChannelSpec(2), [0.5, 0.2], 1e-8)
 
+    def test_non_finite_grid_point_rejected(self):
+        # NaN fails every comparison: it passed the increasing check, ran
+        # the whole iteration cap and returned NaN weights
+        with pytest.raises(ValueError, match="finite"):
+            blahut_arimoto(ChannelSpec(2), [0.0, math.nan, 1.0], 1e-8)
+
+    @pytest.mark.parametrize("iters", [0, -3, 2.5, True, "5"])
+    def test_max_iters_must_be_a_positive_integer(self, iters):
+        # 0 and -3 used to raise UnboundLocalError
+        with pytest.raises(ValueError, match="max_iters"):
+            blahut_arimoto(ChannelSpec(2), [0.0, 0.5, 1.0], 1e-8, max_iters=iters)
+
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, math.inf, True])
+    def test_tol_must_be_positive_and_finite(self, tol):
+        # NaN and -1 used to run silently to the iteration cap
+        with pytest.raises(ValueError, match="tol must be positive"):
+            blahut_arimoto(ChannelSpec(2), [0.0, 0.5, 1.0], tol)
+
 
 class TestSolveCapacity:
     @pytest.mark.parametrize("n,cap", [(1, math.log(2)), (2, math.log(17 / 8)),
@@ -278,22 +296,47 @@ class TestHalfSupport:
         assert np.max(np.abs(nh - h)) <= 1e-9
 
     def test_polish_ascends_once_when_newton_stalls(self, monkeypatch):
-        # Newton stalls before and after the ascent: one ascent, whose last
-        # atom lands within the merge radius of 1/2 and snaps onto it
+        # Newton stalls before and after the ascent: one ascent, whose
+        # answer, merged by the ascent itself, is the polish's
         ascents = []
+        answer = np.array([0.0, 0.2, 0.5]), np.full(3, 1 / 3)
 
         def stalled_newton(spec, h, v):
             return h.copy(), v.copy(), "stall", 1.6e-4
 
         def ascent(spec, h, v):
             ascents.append(len(h))
-            return np.array([0.0, 0.2, 0.5 - 0.5 * solver._MERGE_RADIUS]), np.full(3, 1 / 3)
+            return answer
 
         monkeypatch.setattr(solver, "_kkt_newton", stalled_newton)
         monkeypatch.setattr(solver, "_ascend_information", ascent)
         h, v = solver._polish(ChannelSpec(24), np.array([0.0, 0.2, 0.45]), np.full(3, 1 / 3))
         assert ascents == [3]
-        assert h[-1] == 0.5
+        assert h is answer[0] and v is answer[1]
+
+    def test_ascent_returns_a_merged_support(self):
+        # a start with a starved output returns at once, merged all the
+        # same: its last atom lies within the merge radius of 1/2 and snaps
+        h = np.array([0.0, 0.5 - 0.5 * solver._MERGE_RADIUS])
+        nh, nv = solver._ascend_information(ChannelSpec(4), h, np.array([1.0, 0.0]))
+        assert list(nh) == [0.0, 0.5] and list(nv) == [1.0, 0.0]
+
+    def test_merge_half_merges_near_atoms(self):
+        # unsorted, with two pairs of atoms within the merge radius and a
+        # last atom within it of 1/2; the masses sum to 0.8
+        r = solver._MERGE_RADIUS
+        h = np.array([0.3, 0.5 * r, 0.5 - 0.5 * r, 0.0, 0.3 + 0.5 * r])
+        v = np.array([0.1, 0.1, 0.2, 0.1, 0.3])
+        nh, nv = solver._merge_half(h, v)
+        assert len(nh) == 3
+        # the first pair merges at its mass-weighted position 0.25 r, then
+        # is pinned to 0; the second lands at its mass-weighted position
+        assert nh[0] == 0.0
+        assert nh[1] == pytest.approx((0.3 * 0.1 + (0.3 + 0.5 * r) * 0.3) / 0.4, rel=1e-15)
+        assert nh[2] == 0.5
+        # summed masses 0.2, 0.4 and 0.2, renormalized
+        np.testing.assert_allclose(nv, [0.25, 0.5, 0.25], rtol=1e-15)
+        assert abs(nv.sum() - 1.0) <= 1e-15
 
     def test_polish_ascends_where_newton_leaves_a_negative_mass(self, solved, monkeypatch):
         # a Newton answer with a nonpositive mass is no solution: the ascent
@@ -330,7 +373,11 @@ class TestHalfSupport:
         # the endpoint row is taken in closed form, -log q(0); every row is
         # the density sweep's i against the same output pmf
         spec = ChannelSpec(n)
-        h, v = _half(solved(n)) if n < 4096 else solver._seed_support(spec)[0]
+        if n < 4096:
+            h, v = _half(solved(n))
+        else:
+            h = solver._seed_support(spec)[0]
+            v = np.full(len(h), 1.0 / len(h))
         _, ival, terms = _kkt_residual(spec, h, v, 0.0)
         want = _info_density_against_logq(spec, h, np.log(terms[2]))
         assert np.all(np.abs(ival - want) <= 1e-15 * np.abs(want))
@@ -380,20 +427,18 @@ class TestSeedSupport:
         # half-way across a pair; one seed where the edge gap reaches it
         sizes = {2: [2], 3: [2], 4: [2], 5: [2, 3], 9: [2, 3], 24: [4, 4], 80: [8, 7],
                  128: [10, 10], 256: [16, 15], 4096: [99, 99]}
-        assert [len(h) for h, _ in seeds] == sizes[n]
-        for h, v in seeds:
+        assert [len(h) for h in seeds] == sizes[n]
+        for h in seeds:
             assert h[0] == 0.0
             assert np.all(np.diff(h) > 0.0)
             assert h[-1] <= 0.5
-            assert np.all(v > 0.0)
-            assert abs(v.sum() - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("n", [24, 80, 128, 256, 4096])
     def test_gaps_follow_the_law_stretched_by_one_factor(self, n):
         # in phi sqrt(n): the edge gap pi, then g_k = 2.24 (k / 2)^-0.283
         # times one lambda, up to 1/2 or half-way across the pair's gap
         stretch = []
-        for h, _ in solver._seed_support(ChannelSpec(n)):
+        for h in solver._seed_support(ChannelSpec(n)):
             u = 2.0 * np.arcsin(np.sqrt(h)) * math.sqrt(n)
             k = np.arange(2, len(h) + 1)
             law = 2.24 * (k / 2.0) ** -0.283
@@ -408,14 +453,14 @@ class TestSeedSupport:
     def test_two_trials_seed_holds_the_centre(self):
         # for n >= 2, e^C >= 17/8 > 2, so the optimum has at least 3 atoms;
         # the endpoint orbit alone would starve the output y = 1
-        (h, _), = solver._seed_support(ChannelSpec(2))
+        h, = solver._seed_support(ChannelSpec(2))
         assert 0.5 in h
         assert solve_capacity(ChannelSpec(2)).iterations == 1
 
     @pytest.mark.parametrize("n", [5, 24, 80, 128, 4096])
     def test_first_interior_atom_at_the_edge_gap(self, n):
         # certified supports put it at phi = 2 arcsin sqrt(x) = pi / sqrt(n)
-        for h, _ in solver._seed_support(ChannelSpec(n)):
+        for h in solver._seed_support(ChannelSpec(n)):
             assert abs(h[1] - math.sin(math.pi / (2 * math.sqrt(n))) ** 2) <= 1e-15
 
     @pytest.mark.parametrize("n", [2, 3, 128])
@@ -443,7 +488,7 @@ class TestSeedSupport:
         report = solved(n)
         assert report.support_size == atoms and (0.5 in report.input.points) == centre
         spec = ChannelSpec(n)
-        h, _ = solver._seed_support(spec)[0]
+        h = solver._seed_support(spec)[0]
         assert 2 * len(h) - (h[-1] == 0.5) == atoms and (h[-1] == 0.5) == centre
         v = _ba_core(spec, h, -np.inf, 1, orbits=True)[0]
         assert solver._kkt_newton(spec, h, v)[2] == "ok"
@@ -560,7 +605,7 @@ class TestAscent:
     def test_ascent_from_the_seed_reaches_newton(self):
         # from the seed's masses after one Blahut-Arimoto update, as in a cold solve
         spec = ChannelSpec(128)
-        h, _ = solver._seed_support(spec)[0]
+        h = solver._seed_support(spec)[0]
         v = _ba_core(spec, h, -np.inf, 1, orbits=True)[0]
         nh, nv = solver._ascend_information(spec, h, v)
         info = solver._information(v, _kkt_residual(spec, h, v, 0.0)[1])
@@ -572,7 +617,7 @@ class TestAscent:
         # n = 128 seed needs fewer eigendecompositions than residuals (it
         # used to take one of each per step, 17 and 17)
         spec = ChannelSpec(128)
-        h, _ = solver._seed_support(spec)[0]
+        h = solver._seed_support(spec)[0]
         v = _ba_core(spec, h, -np.inf, 1, orbits=True)[0]
         calls = {"residual": 0, "eigh": 0}
         residual, eigh = solver._kkt_residual, np.linalg.eigh
@@ -875,6 +920,12 @@ class TestKktVerify:
         dist = DiscreteInput(points, np.asarray(weights) / sum(weights))
         report = report_for_distribution(dist, ChannelSpec(n))
         assert abs(report.output.probs.sum() - 1.0) <= 1e-12
+
+    def test_rejects_a_spec_of_another_n(self, solved):
+        # a solved n = 4 report checked against n = 6 used to return a
+        # certificate for n = 6 (capacity 1.04)
+        with pytest.raises(ValueError, match="n = 4"):
+            kkt_verify(solved(4), ChannelSpec(6))
 
     def test_solved_twenty_all_flags(self, solved):
         report = solved(20)
