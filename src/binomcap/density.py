@@ -49,7 +49,7 @@ def bregman_binomial(x: float, xhat: float) -> float:
 
 def _check_interior(x) -> np.ndarray:
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(xs <= 0.0) or np.any(xs >= 1.0):
+    if not np.all((xs > 0.0) & (xs < 1.0)):  # NaN fails both
         raise ValueError("derivative evaluation requires x strictly inside (0, 1)")
     return xs
 

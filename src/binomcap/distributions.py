@@ -273,7 +273,12 @@ def _info_density_against_logq(spec: ChannelSpec, xs, logq: np.ndarray,
 
 
 def info_density(x, out: OutputPmf, spec: ChannelSpec):
-    """Information density i(x; P_Y) = D(P(.|x) || P_Y); scalar or array x."""
+    """Information density i(x; P_Y) = D(P(.|x) || P_Y); scalar or array x
+    in [0, 1]."""
+    xs = np.asarray(x, dtype=float)
+    bad = ~((xs >= 0.0) & (xs <= 1.0))  # NaN fails both
+    if np.any(bad):
+        raise ValueError(f"success probability x must be in [0, 1], got {xs[bad].flat[0]}")
     with np.errstate(divide="ignore"):
         logq = np.log(out.probs)
     vals = _info_density_against_logq(spec, x, logq)

@@ -101,6 +101,31 @@ def log_pmf_matrix(spec: ChannelSpec, xs, lo=None, width: int = 0) -> np.ndarray
     return out
 
 
+# Log-pmf cells below this many nats (P < 1e-304) are set to 0 by `floored_exp`.
+_EXP_FLOOR = -700.0
+
+
+def floored_exp(logP: np.ndarray, out=None) -> np.ndarray:
+    """exp(logP) of full log-pmf rows (`log_pmf_matrix` without a window),
+    with P = 0 where log P < -700, that is, where P < 1e-304.
+
+    numpy's exp leaves its vector loop where the result nears the subnormal
+    range: about 110 ns an element for arguments in (-745, -708) and 10 ns
+    below, against 0.6 ns.  The binomial pmf is log-concave in y, so a row's
+    smallest entry is at y = 0 or y = n, n log min(x, 1 - x).  Where no row's
+    is below -700 this is plain np.exp; otherwise exp runs only on the cells
+    at or above -700, and the others are 0.  A mask over all rows costs less
+    than gathering the rows that need one.
+    """
+    if logP[:, :: logP.shape[1] - 1].min() >= _EXP_FLOOR:  # y = 0 and y = n
+        return np.exp(logP, out=out)
+    if out is None:
+        out = np.zeros_like(logP)
+    else:
+        out.fill(0.0)
+    return np.exp(logP, out=out, where=logP >= _EXP_FLOOR)
+
+
 def log_pmf(spec: ChannelSpec, y: int, x: float) -> float:
     """Log-probability of y successes in n trials at success probability x."""
     if not isinstance(y, (int, np.integer)) or isinstance(y, bool):

@@ -9,8 +9,10 @@ information is concave in the grid weights and unchanged by mirroring them
 (P(y | 1 - x) = P(n - y | x)), so its grid maximum is reached at symmetric
 weights, and with symmetric weights the information density is even about
 1/2, so its maximum over the orbit points certifies the duality gap over
-the full grid.  The oracle shares nothing with the production solver beyond
-pmf evaluation (`log_pmf_matrix`).
+the full grid.  The output pmf of symmetric weights is symmetric too,
+q(y) = q(n - y), so the oracle also keeps only the output orbits
+{y, n - y}, y = 0..n // 2, and stores q once.  The oracle shares nothing
+with the production solver beyond pmf evaluation (`log_pmf_matrix`).
 """
 
 from __future__ import annotations
@@ -96,52 +98,59 @@ def _orbit_channel(spec: ChannelSpec, grid_points: int):
     """Channel terms of the mirror orbits {x_k, 1 - x_k}, k = 0..m - 1, of the
     uniform grid, m = (grid_points + 1) / 2; the centre x = 1/2 is its own orbit.
 
-    Returns RT, the (n + 1) x m transposed orbit rows
-    R_k = (P(y | x_k) + P(y | 1 - x_k)) / 2 = (P(y | x_k) + P(n - y | x_k)) / 2,
-    so that q = RT u is the output pmf of orbit weights u split evenly over
-    each pair; and H, the negative entropies of the rows, equal at x and
-    1 - x.  An orbit row's density H_k - log q R_k is the mean of the
-    densities at x_k and 1 - x_k, so against a symmetric q it is both.  RT
-    is C-contiguous: the densities log q RT and the output pmf RT u are
-    each one BLAS product with it.
+    The orbit rows R_k = (P(y | x_k) + P(y | 1 - x_k)) / 2
+    = (P(y | x_k) + P(n - y | x_k)) / 2 take equal values at y and n - y, so
+    only the output orbits {y, n - y}, y = 0..n // 2, are kept.  Returns RT,
+    the (n // 2 + 1) x m transposed orbit rows on those outputs, so that
+    q = RT u is the output pmf of orbit weights u split evenly over each
+    pair, stored once per output orbit; c, the orbit sizes (2, and 1 for the
+    centre output y = n / 2 when n is even); and H, the negative entropies
+    of the rows, equal at x and 1 - x.  An orbit row's density
+    H_k - (c log q) RT_k is the mean of the densities at x_k and 1 - x_k,
+    so against the symmetric q it is both.  RT is C-contiguous: the
+    densities and the output pmf RT u are each one BLAS product with it.
     """
     xs = np.linspace(0.0, 1.0, grid_points)[: grid_points // 2 + 1]
     logP = log_pmf_matrix(spec, xs)
     P = np.exp(logP)
     with np.errstate(invalid="ignore"):
         H = np.sum(np.where(P > 0, P * logP, 0.0), axis=1)
-    return np.ascontiguousarray(((P + P[:, ::-1]) / 2).T), H
+    y = np.arange(spec.n // 2 + 1)
+    RT = np.ascontiguousarray(((P[:, y] + P[:, spec.n - y]) / 2).T)
+    return RT, np.where(2 * y == spec.n, 1.0, 2.0), H
 
 
-def _densities(q: np.ndarray, RT: np.ndarray, H: np.ndarray) -> np.ndarray:
-    """Densities D_k of the orbit rows against q; for a symmetric q, at x_k and 1 - x_k."""
-    return H - np.log(np.maximum(q, 1e-300)) @ RT
+def _densities(q: np.ndarray, RT: np.ndarray, c: np.ndarray, H: np.ndarray) -> np.ndarray:
+    """Densities D_k of the orbit rows against the output orbits' pmf q; at
+    x_k and 1 - x_k alike."""
+    return H - (c * np.log(np.maximum(q, 1e-300))) @ RT
 
 
-def _information(w: np.ndarray, q: np.ndarray, RT: np.ndarray, H: np.ndarray):
+def _information(w: np.ndarray, q: np.ndarray, RT: np.ndarray, c: np.ndarray, H: np.ndarray):
     """I(w) and the information densities D_k of the orbit weights w with
-    symmetric output pmf q; D is even about 1/2, so w.D is I of the split weights."""
-    D = _densities(q, RT, H)
+    output pmf q; D is even about 1/2, so w.D is I of the split weights."""
+    D = _densities(q, RT, c, H)
     return float(w @ D), D
 
 
-def _information_value(w: np.ndarray, q: np.ndarray, H: np.ndarray) -> float:
-    """I(w) = w.H - q.log q of the orbit weights w with output pmf q = RT w.
+def _information_value(w: np.ndarray, q: np.ndarray, c: np.ndarray, H: np.ndarray) -> float:
+    """I(w) = w.H - (c q).log q of the orbit weights w with output pmf q = RT w.
 
     Equal to w.D of `_information` up to rounding, but its only channel
-    term is the (n + 1)-cell sum over q: no product with the channel matrix.
+    term is the (n // 2 + 1)-cell sum over q: no product with the channel
+    matrix.
     """
-    return float(w @ H - q @ np.log(np.maximum(q, 1e-300)))
+    return float(w @ H - (c * q) @ np.log(np.maximum(q, 1e-300)))
 
 
-def _plain_step(x: np.ndarray, q: np.ndarray, RT: np.ndarray, H: np.ndarray):
+def _plain_step(x: np.ndarray, q: np.ndarray, RT: np.ndarray, c: np.ndarray, H: np.ndarray):
     """One Blahut-Arimoto step x * exp(D - max D) from x with output pmf q,
     normalized; it never lowers I.  Returns the new x, its output pmf and I."""
-    D = _densities(q, RT, H)
+    D = _densities(q, RT, c, H)
     x = x * np.exp(D - D.max())
     x /= x.sum()
     q = RT @ x
-    return x, q, _information_value(x, q, H)
+    return x, q, _information_value(x, q, c, H)
 
 
 def brute_force_grid_capacity(spec: ChannelSpec, grid_points: int, tol: float,
@@ -171,13 +180,17 @@ def brute_force_grid_capacity(spec: ChannelSpec, grid_points: int, tol: float,
     I(x) of a grid distribution whose full-grid gap is at most tol; raises
     if that does not happen within the iteration cap.
 
-    Output pmfs mix linearly with their inputs, and I(w) = w.H - q.log q
-    with q = RT w, where H_k is the negative entropy of the channel row of
-    x_k.  So an iteration takes two products with the one (n + 1) x m
-    orbit matrix: the densities D(y) = H - log q_y RT from the mixed pmf
-    q_y, and q_z = RT z.  The densities of x itself are formed only at the
-    50-iteration certificate (one product, where I(z) is compared with I(x)
-    from q_z alone) and at a plain step.
+    The output pmf of symmetric weights is symmetric, q(y) = q(n - y), so
+    it is stored once per output orbit {y, n - y}, y = 0..n // 2, and the
+    orbit matrix RT keeps only those n // 2 + 1 rows; c counts the outputs
+    of each orbit.  Output pmfs mix linearly with their inputs, and
+    I(w) = w.H - (c q).log q with q = RT w, where H_k is the negative
+    entropy of the channel row of x_k.  So an iteration takes two products
+    with the one (n // 2 + 1) x m orbit matrix: the densities
+    D(y) = H - (c log q_y) RT from the mixed pmf q_y, and q_z = RT z.  The
+    densities of x itself are formed only at the 50-iteration certificate
+    (one product, where I(z) is compared with I(x) from q_z alone) and at a
+    plain step.
     """
     _check_count(grid_points, "grid_points", 101)
     if grid_points % 2 == 0:
@@ -185,28 +198,32 @@ def brute_force_grid_capacity(spec: ChannelSpec, grid_points: int, tol: float,
     if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
     _check_count(max_iters, "max_iters", 0)
-    RT, H = _orbit_channel(spec, grid_points)
+    RT, c, H = _orbit_channel(spec, grid_points)
     x = z = np.full(RT.shape[1], 2.0 / grid_points)
     z[-1] = 1.0 / grid_points
     qz, lo, k = RT @ z, -math.inf, 0
     for it in range(max_iters + 1):
         if it % _CHECK_EVERY == 0 or it == max_iters:
-            if _information_value(z, qz, H) > lo:
+            if _information_value(z, qz, c, H) > lo:
                 x, qx = z, qz
-            lo, Dx = _information(x, qx, RT, H)
+            lo, Dx = _information(x, qx, RT, c, H)
             if float(Dx.max()) - lo <= tol:
                 return lo
             if it == max_iters:
                 break
         t = 2.0 / (k + 2)
-        Dy = _densities((1 - t) * qx + t * qz, RT, H)
-        z = z * np.exp((Dy - Dy.max()) / t)
+        Dy = _densities((1 - t) * qx + t * qz, RT, c, H)
+        Dy -= Dy.max()
+        Dy /= t
+        z = z * np.exp(Dy, out=Dy)
         z /= z.sum()
         qz = RT @ z
-        xc, qc = (1 - t) * x + t * z, (1 - t) * qx + t * qz
-        info = _information_value(xc, qc, H)
+        xc = x * (1 - t)
+        xc += t * z
+        qc = (1 - t) * qx + t * qz
+        info = _information_value(xc, qc, c, H)
         if info < lo:
-            x, qx, lo = _plain_step(x, qx, RT, H)
+            x, qx, lo = _plain_step(x, qx, RT, c, H)
             z, qz, k = x, qx, 0
         else:
             x, qx, lo, k = xc, qc, info, k + 1

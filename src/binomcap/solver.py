@@ -49,7 +49,7 @@ from .distributions import (
     _info_terms,
     _row_window,
 )
-from .kernel import ChannelSpec, log_pmf_matrix
+from .kernel import ChannelSpec, floored_exp, log_pmf_matrix
 
 log = logging.getLogger(__name__)
 
@@ -167,7 +167,7 @@ def _ba_core(spec: ChannelSpec, xs: np.ndarray, tol: float, max_iters: int,
     """
     xs = np.asarray(xs, dtype=float)
     logP = log_pmf_matrix(spec, xs)
-    P = np.exp(logP)
+    P = floored_exp(logP)
     rowH = _info_terms(spec, xs, logP, P, 0.0)
     if orbits:
         P = _mirror_mix(P)
@@ -313,7 +313,7 @@ def _kkt_residual(spec: ChannelSpec, h: np.ndarray, v: np.ndarray, C: float,
     logP = log_pmf_matrix(spec, h[1:])
     P = np.zeros((K, spec.n + 1))
     P[0, 0] = 1.0
-    np.exp(logP, out=P[1:])
+    floored_exp(logP, out=P[1:])
     R = _mirror_mix(P)
     q = v @ R
     if np.any(q <= 0.0):

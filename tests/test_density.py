@@ -101,6 +101,14 @@ class TestFirstDerivative:
         with pytest.raises(ValueError):
             info_density_prime(0.0, table_dists[2], ChannelSpec(2))
 
+    @pytest.mark.parametrize("x", [math.nan, np.array([0.3, math.nan])])
+    def test_nan_rejected(self, table_dists, x):
+        # NaN fails every comparison, so a test for x <= 0 or x >= 1 lets it
+        # through to an IndexError (scalar) or a NaN derivative (array)
+        for f in (info_density_prime, info_density_second):
+            with pytest.raises(ValueError, match="strictly inside"):
+                f(x, table_dists[2], ChannelSpec(2))
+
 
 class TestSecondDerivative:
     @pytest.mark.parametrize("n,x", [(2, 0.2), (3, 0.5)])

@@ -192,6 +192,15 @@ class TestInfoDensity:
         assert info_density(0.5, out, ChannelSpec(3)) == pytest.approx(
             math.log(19 / 8), abs=1e-14)
 
+    @pytest.mark.parametrize("bad", [1.5, -0.1, math.nan])
+    def test_x_outside_unit_interval_rejected(self, table_dists, bad):
+        # outside [0, 1] the kernel row is NaN and the 0 log 0 rule made the
+        # density 0.0; NaN reached an IndexError in the Bernstein window
+        out = induce_output(table_dists[2], ChannelSpec(4))
+        for x in (bad, np.array([0.25, bad, 0.5])):
+            with pytest.raises(ValueError, match=r"\[0, 1\], got (nan|-?\d)"):
+                info_density(x, out, ChannelSpec(4))
+
 
 def where_form_density(n, xs, logq):
     """Reference: the density sweep over all rows at once, masked with np.where."""

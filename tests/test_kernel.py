@@ -16,7 +16,7 @@ from binomcap import (
     log_pmf,
     pmf_row,
 )
-from binomcap.kernel import log_binom_coeffs, log_pmf_matrix
+from binomcap.kernel import floored_exp, log_binom_coeffs, log_pmf_matrix
 
 
 def direct_pmf(n, y, x):
@@ -126,6 +126,29 @@ class TestLogPmfMatrix:
             rows = log_pmf_matrix(ChannelSpec(3), [0.0, 1.0])
         np.testing.assert_array_equal(rows, [[0.0, -np.inf, -np.inf, -np.inf],
                                              [-np.inf, -np.inf, -np.inf, 0.0]])
+
+
+class TestFlooredExp:
+    def test_zero_below_the_floor_exp_elsewhere(self):
+        # at n = 300, x = 0.05 reaches log P = -899 at y = n and x = 0.95 at
+        # y = 0; x = 0.3 stays above -700
+        full = log_pmf_matrix(ChannelSpec(300), [0.05, 0.3, 0.95, 0.0])
+        for rows in ([0, 1], [1, 2], [0, 1, 2, 3]):
+            logP = full[rows]
+            band = (logP > -745.0) & (logP < -700.0)
+            assert band.any() and not (logP[rows.index(1)] < -700.0).any()
+            assert np.all(np.exp(logP[band]) > 0.0)
+            keep = logP >= -700.0
+            for out in (None, np.full(logP.shape, np.nan)):
+                P = floored_exp(logP, out)
+                assert out is None or P is out
+                assert np.all(P[~keep] == 0.0)
+                assert np.array_equal(P[keep], np.exp(logP[keep]))
+
+    def test_rows_above_the_floor_are_plain_exp(self):
+        logP = log_pmf_matrix(ChannelSpec(300), np.linspace(0.1, 0.9, 9))
+        assert logP.min() >= -700.0
+        assert np.array_equal(floored_exp(logP), np.exp(logP))
 
 
 class TestPmfRow:

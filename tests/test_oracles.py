@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from binomcap import oracles
+from binomcap.kernel import log_pmf_matrix
 from binomcap import (
     ChannelSpec,
     brute_force_grid_capacity,
@@ -153,8 +154,8 @@ class TestGridOracle:
         # I(w) = w.H - q.log q needs no channel product; it must agree with
         # the density form w.D on the orbit rows, also where weights are
         # exactly zero
-        RT, H = oracles._orbit_channel(ChannelSpec(n), 4097)
-        assert RT.shape == (n + 1, 2049)
+        RT, c, H = oracles._orbit_channel(ChannelSpec(n), 4097)
+        assert RT.shape == (n // 2 + 1, 2049)
         assert RT.flags.c_contiguous
         rng = np.random.default_rng(n)
         for zeros in (0, 100, 2000):
@@ -162,25 +163,43 @@ class TestGridOracle:
             w[rng.choice(2049, zeros, replace=False)] = 0.0
             w /= w.sum()
             q = RT @ w
-            info, _ = oracles._information(w, q, RT, H)
-            assert abs(oracles._information_value(w, q, H) - info) <= 1e-14
+            info, _ = oracles._information(w, q, RT, c, H)
+            assert abs(oracles._information_value(w, q, c, H) - info) <= 1e-14
+
+    @pytest.mark.parametrize("n", [1, 2, 15, 16])
+    def test_output_orbits_lose_nothing(self, n):
+        # the orbit rows take equal values at y and n - y, so keeping one
+        # row per output orbit {y, n - y} drops only copies, and the orbit
+        # sizes c count every output once
+        xs = np.linspace(0.0, 1.0, 4097)[:2049]
+        P = np.exp(log_pmf_matrix(ChannelSpec(n), xs))
+        R = (P + P[:, ::-1]) / 2
+        np.testing.assert_array_equal(R, R[:, ::-1])
+        RT, c, _ = oracles._orbit_channel(ChannelSpec(n), 4097)
+        np.testing.assert_array_equal(RT, R[:, : n // 2 + 1].T)
+        assert c.sum() == n + 1
+        rng = np.random.default_rng(200 + n)
+        for _ in range(5):
+            u = rng.random(2049)
+            u /= u.sum()
+            assert abs(c @ (RT @ u) - 1.0) <= 1e-15
 
     @pytest.mark.parametrize("n", [1, 16, 93])
     def test_orbit_densities_are_full_grid_densities(self, n):
         # random orbit weights split evenly over each pair {x, 1 - x} give
-        # the same output pmf, and against it the orbit-row densities are the
-        # full-grid densities at both x and 1 - x: the orbit certificate is
-        # the full-grid certificate
+        # the same output pmf, stored once per output orbit {y, n - y}, and
+        # against it the orbit-row densities are the full-grid densities at
+        # both x and 1 - x: the orbit certificate is the full-grid certificate
         spec = ChannelSpec(n)
-        RT, H = oracles._orbit_channel(spec, 4097)
+        RT, c, H = oracles._orbit_channel(spec, 4097)
         P, H_full = full_grid_channel(spec, 4097)
         rng = np.random.default_rng(100 + n)
         u = rng.random(2049)
         u /= u.sum()
         w = np.concatenate([u[:-1] / 2, u[-1:], u[-2::-1] / 2])
         q = RT @ u
-        np.testing.assert_allclose(q, w @ P, rtol=0, atol=1e-15)
-        D = oracles._densities(q, RT, H)
+        np.testing.assert_allclose(q, (w @ P)[: n // 2 + 1], rtol=0, atol=1e-15)
+        D = oracles._densities(q, RT, c, H)
         D_full = full_grid_densities(w @ P, P, H_full)
         # relative to max(1, |D|): the full grid evaluates the kernel at x and
         # at 1 - x separately, so its own D is even only to rounding (1.3e-14
@@ -196,19 +215,19 @@ class TestGridOracle:
         densities = oracles._densities
         products = []
 
-        def spy(q, RT, H):
+        def spy(q, RT, c, H):
             products.append(RT.shape)
-            return densities(q, RT, H)
+            return densities(q, RT, c, H)
 
         monkeypatch.setattr(oracles, "_densities", spy)
         got = brute_force_grid_capacity(ChannelSpec(n), 1001, 5e-6)
         want, want_products = full_grid_capacity(ChannelSpec(n), 1001, 5e-6)
         assert abs(got - want) <= 2e-15
         assert len(products) == want_products
-        assert set(products) == {(n + 1, 501)}
+        assert set(products) == {(n // 2 + 1, 501)}
 
     def test_densities_formed_only_at_certificates_and_plain_steps(self, monkeypatch):
-        # an iteration takes two products with the (n + 1) x 501 orbit
+        # an iteration takes two products with the (n // 2 + 1) x 501 orbit
         # matrix (the look-ahead densities and RT z); the candidate's I and
         # the certificate's I(z) come from _information_value, and the
         # density form runs once per certificate (the densities of x) and
@@ -238,7 +257,8 @@ class TestGridOracle:
         assert certificates == candidates // 50 + 1
         # one look-ahead per candidate, one per certificate and plain step
         assert calls["densities"] == candidates + certificates + calls["plain"]
-        assert shapes == {(4, 501)}
+        # n = 3: the output orbits {0, 3} and {1, 2}
+        assert shapes == {(2, 501)}
 
     @pytest.mark.parametrize("tol", [1e-5, 1e-6])
     @pytest.mark.parametrize("n", [1, 2, 3])
