@@ -26,12 +26,13 @@ interior pairs and a centre atom.  The solve works in three layers:
    there.
 
 Layers 2 and 3 form the outer-iteration loop, `_refine`.  `sweep_capacity`
-starts each n from the solution certified at n - 1 with two of its outer
-iterations, and runs the full solve where that does not certify.
+is the same solve with one more start: the half support certified at n - 1,
+taken ahead of the seeds with two outer iterations.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 import numbers
@@ -860,23 +861,14 @@ def solve_capacity(spec: ChannelSpec, config: SolverConfig | None = None) -> Sol
 
 
 def sweep_capacity(n_max: int, config: SolverConfig | None = None):
-    """Yield the SolveReport of every n = 1..n_max.  The support moves
-    continuously in n between structural events, so the half support
-    certified at n - 1 starts `_refine` at n with a budget of two outer
-    iterations: the first polishes and certifies it (iterations=1), the
-    second adds the escape atom and polishes once more (iterations=2), which
-    crosses the birth of a centre atom.  Where that does not certify, for
-    n <= 2 and after an uncertified n, the report is solve_capacity's.  An
-    n_max out of ChannelSpec's range raises before the first solve."""
+    """Yield the SolveReport of every n = 1..n_max: `_solve` at n with the
+    half support certified at n - 1 as its first start, where there is one.
+    An n_max out of ChannelSpec's range raises before the first solve."""
     ChannelSpec(n_max)
     config = config or SolverConfig()
     half = None
     for n in range(1, n_max + 1):
-        spec = ChannelSpec(n)
-        if half is not None:
-            report, half = _refine(spec, *half, config.kkt_tol, range(1, 3))
-        if half is None:
-            report, half = _solve(spec, config)
+        report, half = _solve(ChannelSpec(n), config, half)
         yield report
 
 
@@ -917,18 +909,24 @@ def _cold_starts(spec: ChannelSpec):
         yield _ascend_information(spec, h, v, tol=1e-10)
 
 
-def _solve(spec: ChannelSpec, config: SolverConfig):
+def _solve(spec: ChannelSpec, config: SolverConfig, carried=None):
     """solve_capacity, and the half support (h, v) it certified (None where
-    it did not certify, and for n = 1)."""
+    it did not certify, and for n = 1).  A carried half support, the one
+    certified at n - 1 in a sweep, is the first start, with two of the
+    config.max_outer_iters outer iterations: the first polishes and
+    certifies it, the second adds the escape atom, which crosses the birth
+    of a centre atom.  Unless it settles, the cold starts follow, numbered
+    on in the same count."""
     n = spec.n
     if n == 1:
         dist = DiscreteInput(np.array([0.0, 1.0]), np.array([0.5, 0.5]))
         return report_for_distribution(dist, spec, config.kkt_tol), None
 
     budget, spent, kept = config.max_outer_iters, 0, None
-    for h, v in _cold_starts(spec):
-        report, half = _refine(spec, h, v, config.kkt_tol, range(spent + 1, budget + 1))
-        spent = report.iterations
+    last = min(2, budget) if carried else budget
+    for h, v in itertools.chain([carried] if carried else [], _cold_starts(spec)):
+        report, half = _refine(spec, h, v, config.kkt_tol, range(spent + 1, last + 1))
+        spent, last = report.iterations, budget
         # within kkt_tol / 100, 1e-10 by default: the level of Newton solutions,
         # below every certified start that a later start bettered
         settled = half is not None and (max(report.kkt_slack, report.equality_defect)

@@ -801,10 +801,11 @@ class TestSweepCapacity:
 
     def test_failed_warm_step_falls_back_to_the_cold_solve(self, monkeypatch):
         # the warm step at n = 7 keeps the n = 6 solution as it is, which does
-        # not certify; n = 7 then gets the cold report, and n = 8 starts warm
-        cold = dumps(solve_capacity(ChannelSpec(7)).to_dict())
-        polish, seed = solver._polish, solver._seed_support
-        polished, seeded = [], []
+        # not certify; the cold starts then run, numbered after the warm
+        # step's outer iterations, and n = 8 starts warm
+        cold = solve_capacity(ChannelSpec(7)).to_dict()
+        polish, seed, refine = solver._polish, solver._seed_support, solver._refine
+        polished, seeded, warm = [], [], []
 
         def stuck_once_at_7(spec, h, v):
             polished.append(spec.n)
@@ -816,14 +817,44 @@ class TestSweepCapacity:
             seeded.append(spec.n)
             return seed(spec)
 
+        def spy_refine(spec, h, v, tol, outers):
+            report, half = refine(spec, h, v, tol, outers)
+            if spec.n == 7 and outers.start == 1:
+                warm.append((report.iterations, half is None))
+            return report, half
+
         monkeypatch.setattr(solver, "_polish", stuck_once_at_7)
         monkeypatch.setattr(solver, "_seed_support", spy_seed)
+        monkeypatch.setattr(solver, "_refine", spy_refine)
         reports = list(solver.sweep_capacity(8))
         assert seeded == [2, 7]
-        assert dumps(reports[6].to_dict()) == cold
+        assert len(warm) == 1 and warm[0][1]
+        report = reports[6].to_dict()
+        assert report.pop("iterations") == cold.pop("iterations") + warm[0][0]
+        assert dumps(report) == dumps(cold)
         assert polished.count(8) == 1
         assert reports[7].iterations == 1
         assert reports[7].converged
+
+    def test_sweep_keeps_the_outer_iteration_budget(self, caplog):
+        # at n = 9 and 19 the carried start needs its escape atom, a second
+        # outer iteration that a budget of one does not leave
+        with caplog.at_level(logging.WARNING, logger="binomcap.solver"):
+            reports = list(solver.sweep_capacity(20, SolverConfig(max_outer_iters=1)))
+        assert all(r.iterations <= 1 for r in reports)
+
+    @pytest.mark.parametrize("n, atoms", [(222, 28), (247, 30)])
+    def test_carried_start_hands_off_at_a_birth(self, solved, n, atoms):
+        # the n - 1 optimum carried to n certifies one atom short, off a
+        # Newton solution; the cold starts then find the optimum with one
+        # atom more
+        config = SolverConfig()
+        prior, half = solver._solve(ChannelSpec(n), config)
+        assert prior.support_size == atoms
+        report, _ = solver._solve(ChannelSpec(n + 1), config, half)
+        assert report.converged and report.support_size == atoms + 1
+        assert max(report.kkt_slack, report.equality_defect) <= 1e-12
+        assert abs(report.capacity_nats - solved(n + 1).capacity_nats) <= 1e-13
 
     def test_warm_step_crosses_a_centre_atom_birth(self, solved, monkeypatch):
         # the n = 8 optimum has 4 atoms and the n = 9 one a centre atom too:
