@@ -16,17 +16,15 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import xlogy
 
-from .kernel import ChannelSpec, pmf_row
+from .kernel import ChannelSpec, check_count, check_x, pmf_row
 from .serialize import csv_text
-from .solver import SolveReport
 
 _LOG2 = math.log(2.0)
 
 
 def capacity_lower_bound(n: int) -> float:
     """Largest of the two-point and arcsine-input capacity lower bounds."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    check_count(n, "n")
     arcsine = (
         math.log(math.pi * n)
         - 0.5 * math.log(2.0 * math.pi * math.e * (n / 8.0 + 1.0 / 12.0))
@@ -39,8 +37,7 @@ def capacity_lower_bound(n: int) -> float:
 
 def capacity_upper_bound(n: int) -> float:
     """Smaller of the support-entropy and dual-representation upper bounds."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    check_count(n, "n")
     support_entropy = math.log(3 + (n - 1) // 2)
     dual = (
         math.log(math.pi * (n + 1))
@@ -58,11 +55,8 @@ def dual_bound_term(x, n: int):
     The dual bound equals log(pi(n+1)) - 0.5 log(2 pi n) + 1 + max_x of this
     term; endpoints are evaluated termwise with 0 log 0 = 0.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(xs < 0.0) or np.any(xs > 1.0):
-        raise ValueError("x must be in [0, 1]")
+    check_count(n, "n")
+    xs = np.atleast_1d(check_x(x))
     a = (1.0 - xs) ** n
     b = xs ** n
     t = (n * xs + 0.5) / (n + 1.0)
@@ -77,19 +71,20 @@ def dual_bound_term(x, n: int):
 
 def dual_bound_term_max(n: int) -> float:
     """Uniform upper bound on dual_bound_term over all of [0, 1]."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    check_count(n, "n")
     return (0.5 * math.log(2.0 * math.pi) + 0.5 + math.log(n) * 2.0 ** -(n + 1)
             + 0.5 * math.log(1.5 * (1.0 + 1.0 / n)))
 
 
-def crest_factor(report: SolveReport, x_star: float) -> float:
-    """Conditional relative entropy discounting the atom's probability.
+def crest_factor(report, x_star: float) -> float:
+    """Conditional relative entropy discounting the probability of an atom
+    of a solve report.
 
     Computed two ways and cross-checked: (a) inverting the probability
     identity w(x*) = e^{-C - D(x*)}, (b) the direct posterior sum
     -sum_y P(y|x*) log P_{X|Y}(x*|y).  Returns (b).
     """
+    x_star = check_x(float(x_star))
     pts = report.input.points
     j = int(np.argmin(np.abs(pts - x_star)))
     if abs(pts[j] - x_star) > 1e-12:
@@ -118,11 +113,8 @@ def crest_factor_lower_endpoints(n: int, x: float) -> float:
     Defined for interior atoms; the ratio degenerates to +inf at n = 1 where
     its denominator vanishes.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    x = float(x)
-    if not 0.0 < x < 1.0:
-        raise ValueError("bound defined only for x strictly inside (0, 1)")
+    check_count(n, "n")
+    x = check_x(float(x), interior=True)
     a = (1.0 - x) ** n
     b = x ** n
     den = a + b - 1.0
@@ -134,19 +126,17 @@ def crest_factor_lower_endpoints(n: int, x: float) -> float:
 
 def crest_factor_lower_mirror(n: int, x: float) -> float:
     """Crest-factor lower bound from the mirror atom at 1-x; needs x != 1/2."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    x = float(x)
-    if not 0.0 < x < 1.0:
-        raise ValueError("bound defined only for x strictly inside (0, 1)")
+    check_count(n, "n")
+    x = check_x(float(x), interior=True)
     if x == 0.5:
         raise ValueError("bound excludes x = 1/2 (the atom is its own mirror)")
     t = n * (1.0 - 2.0 * x) * math.log(x / (1.0 - x))
     return float(np.logaddexp(0.0, t))
 
 
-def support_count_identity(report: SolveReport) -> float:
-    """e^C over the uniform-atom average of e^{-crest factor}.
+def support_count_identity(report) -> float:
+    """e^C over the uniform-atom average of e^{-crest factor}, for a solve
+    report.
 
     Equals the support size exactly at the optimum.
     """
@@ -156,10 +146,9 @@ def support_count_identity(report: SolveReport) -> float:
 
 def cardinality_bounds(n: int, capacity_nats: float) -> tuple[float, int]:
     """(e^C lower bound, 2 + floor(n/2) upper bound) on the support size."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if capacity_nats < 0:
-        raise ValueError("capacity must be nonnegative")
+    check_count(n, "n")
+    if not capacity_nats >= 0:  # NaN fails it
+        raise ValueError(f"capacity must be nonnegative, got {capacity_nats}")
     return math.exp(capacity_nats), 2 + n // 2
 
 
@@ -194,7 +183,7 @@ def sweep_csv(rows: list[dict]) -> str:
 
 def crest_bound_csv(n: int, grid_size: int = 1001) -> str:
     """CSV of the two crest-factor lower bounds on an interior grid."""
-    xs = np.linspace(0.0, 1.0, grid_size + 2)[1:-1]
+    xs = np.linspace(0.0, 1.0, check_count(grid_size, "grid_size") + 2)[1:-1]
     return csv_text(("x", "lower_endpoints", "lower_mirror"), (
         (x, crest_factor_lower_endpoints(n, float(x)),
          crest_factor_lower_mirror(n, float(x)) if x != 0.5 else float("nan"))

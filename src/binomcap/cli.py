@@ -21,7 +21,7 @@ from . import solver
 from .density import density_curve
 from .distributions import DiscreteInput
 from .kernel import ChannelSpec, binomial_entropy_exact, binomial_entropy_lower, \
-    binomial_entropy_upper
+    binomial_entropy_upper, check_count
 from .oracles import exact_solution
 from .serialize import atomic_write, csv_text, dumps, format_real
 from .solver import SolverConfig, report_for_distribution, solve_capacity
@@ -138,11 +138,8 @@ def _cmd_solve(args) -> int:
 def _cmd_bounds(args) -> int:
     if (args.n is None) == (args.n_max is None):
         raise ValueError("bounds needs exactly one of --n or --n-max")
-    if args.n is not None and args.n < 1:
-        raise ValueError("n must be >= 1")
-    if args.n_max is not None and args.n_max < 1:
-        raise ValueError("--n-max must be >= 1")
-    ns = [args.n] if args.n is not None else list(range(1, args.n_max + 1))
+    ns = ([check_count(args.n, "--n")] if args.n is not None
+          else list(range(1, check_count(args.n_max, "--n-max") + 1)))
     rows = [vars(bounds_mod.bounds_report(n)) for n in ns]
     if args.format == "json":
         _emit(args, dumps(rows) + "\n")
@@ -162,12 +159,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    if args.n_max < 1:
-        raise ValueError("--n-max must be >= 1")
     config = _solver_config(args)
     rows = []
     all_converged = True
-    for report in solver.sweep_capacity(args.n_max, config):
+    for report in solver.sweep_capacity(check_count(args.n_max, "--n-max"), config):
         all_converged &= report.converged
         bounds = bounds_mod.bounds_report(report.n, max(report.capacity_nats, 0.0))
         rows.append({**vars(bounds), "capacity_nats": report.capacity_nats,
@@ -188,8 +183,7 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_curves(args) -> int:
-    if args.points < 3:
-        raise ValueError("--points must be >= 3")
+    check_count(args.points, "--points", 3)
     spec = ChannelSpec(args.n)
     report = solve_capacity(spec, _solver_config(args))
     curve = density_curve(report.input, spec, grid_size=args.points)
@@ -199,10 +193,8 @@ def _cmd_curves(args) -> int:
 
 
 def _cmd_entropy_bounds(args) -> int:
-    if args.points < 1:
-        raise ValueError("--points must be >= 1")
     spec = ChannelSpec(args.n)
-    xs = np.linspace(0.0, 1.0, args.points)
+    xs = np.linspace(0.0, 1.0, check_count(args.points, "--points"))
     _emit(args, csv_text(("x", "lower", "exact", "upper"), (
         (x, binomial_entropy_lower(spec, x), binomial_entropy_exact(spec, x),
          binomial_entropy_upper(spec, x)) for x in map(float, xs))))

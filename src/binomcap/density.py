@@ -30,7 +30,7 @@ from .distributions import (
     log_output_pmf,
     _info_density_against_logq,
 )
-from .kernel import ChannelSpec
+from .kernel import ChannelSpec, check_count, check_x
 from .serialize import csv_text
 
 
@@ -40,18 +40,8 @@ def bregman_binomial(x: float, xhat: float) -> float:
     Nonnegative, zero exactly on the diagonal, and asymmetric in its
     arguments.
     """
-    x = float(x)
-    xhat = float(xhat)
-    if not (0.0 < x < 1.0 and 0.0 < xhat < 1.0):
-        raise ValueError("bregman_binomial requires interior arguments in (0, 1)")
+    x, xhat = check_x(float(x), interior=True), check_x(float(xhat), interior=True)
     return x * math.log(x * (1.0 - xhat) / ((1.0 - x) * xhat)) - (x - xhat) / (1.0 - xhat)
-
-
-def _check_interior(x) -> np.ndarray:
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    if not np.all((xs > 0.0) & (xs < 1.0)):  # NaN fails both
-        raise ValueError("derivative evaluation requires x strictly inside (0, 1)")
-    return xs
 
 
 def _require_positive_output(dist: DiscreteInput, spec: ChannelSpec) -> np.ndarray:
@@ -66,7 +56,7 @@ def _require_positive_output(dist: DiscreteInput, spec: ChannelSpec) -> np.ndarr
 
 def _derivatives(x, dist: DiscreteInput, spec: ChannelSpec):
     """(i', i'') at interior x, from one sweep of the channel rows."""
-    xs = _check_interior(x)
+    xs = check_x(x, interior=True)
     logq = _require_positive_output(dist, spec)
     return _info_density_against_logq(spec, xs, logq, derivatives=True)[1:]
 
@@ -106,9 +96,7 @@ def cardinality_upper_via_second_derivative(dist: DiscreteInput, spec: ChannelSp
     Valid when dist is (close to) capacity-achieving.  The result may never
     exceed 2 + floor(n/2); a violation indicates a broken premise and raises.
     """
-    if grid_size < 1000:
-        raise ValueError("grid_size must be at least 1000")
-    xs = np.linspace(0.0, 1.0, grid_size + 2)[1:-1]
+    xs = np.linspace(0.0, 1.0, check_count(grid_size, "grid_size", 1000) + 2)[1:-1]
     vals = info_density_second(xs, dist, spec)
     bound = 2 + count_sign_changes(vals) // 2
     cap = 2 + spec.n // 2
@@ -139,8 +127,6 @@ class DensityCurve:
 
 def density_curve(dist: DiscreteInput, spec: ChannelSpec, grid_size: int = 1001) -> DensityCurve:
     """Evaluate i, i', i'' on a uniform [0, 1] grid (endpoints included)."""
-    if grid_size < 3:
-        raise ValueError("grid_size must be at least 3")
-    grid = np.linspace(0.0, 1.0, grid_size)
+    grid = np.linspace(0.0, 1.0, check_count(grid_size, "grid_size", 3))
     logq = _require_positive_output(dist, spec)
     return DensityCurve(grid, *_info_density_against_logq(spec, grid, logq, derivatives=True))

@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import xlogy
 
-from .kernel import ChannelSpec, _output_counts, log_binom_coeffs, log_pmf_matrix
+from .kernel import (ChannelSpec, _output_counts, check_count, check_output, check_x,
+                     log_binom_coeffs, log_pmf_matrix)
 
 MIN_ATOM_GAP = 1e-12
 WEIGHT_SUM_TOL = 1e-12
@@ -77,17 +78,18 @@ class DiscreteInput:
 
 @dataclass(frozen=True)
 class OutputPmf:
-    """Probability vector over the n+1 channel outputs."""
+    """Probability vector over the n+1 channel outputs; n is len(probs) - 1
+    where it is not given."""
 
     probs: np.ndarray
     n: int = field(default=-1)
 
     def __post_init__(self):
         p = np.asarray(self.probs, dtype=float)
-        n = self.n if self.n >= 0 else len(p) - 1
+        n = len(p) - 1 if self.n == -1 else check_count(self.n, "n", 0)
         if len(p) != n + 1:
             raise ValueError(f"output pmf must have length n+1 = {n + 1}, got {len(p)}")
-        if np.any(p < 0.0):
+        if not np.all(p >= 0.0):  # NaN fails it
             raise ValueError("output probabilities must be nonnegative")
         if abs(p.sum() - 1.0) > WEIGHT_SUM_TOL:
             raise ValueError(f"output probabilities must sum to 1 within {WEIGHT_SUM_TOL}")
@@ -275,13 +277,10 @@ def _info_density_against_logq(spec: ChannelSpec, xs, logq: np.ndarray,
 def info_density(x, out: OutputPmf, spec: ChannelSpec):
     """Information density i(x; P_Y) = D(P(.|x) || P_Y); scalar or array x
     in [0, 1]."""
-    xs = np.asarray(x, dtype=float)
-    bad = ~((xs >= 0.0) & (xs <= 1.0))  # NaN fails both
-    if np.any(bad):
-        raise ValueError(f"success probability x must be in [0, 1], got {xs[bad].flat[0]}")
+    xs = check_x(x)
     with np.errstate(divide="ignore"):
         logq = np.log(out.probs)
-    vals = _info_density_against_logq(spec, x, logq)
+    vals = _info_density_against_logq(spec, xs, logq)
     return float(vals[0]) if np.isscalar(x) else vals
 
 
@@ -309,10 +308,7 @@ def log_mixed_moments(dist: DiscreteInput, a, b) -> np.ndarray:
 def posterior_mean(dist: DiscreteInput, spec: ChannelSpec, y: int) -> float:
     """E[X | Y=y] in moment-ratio form; errors where P_Y(y) = 0."""
     n = spec.n
-    if not isinstance(y, (int, np.integer)) or isinstance(y, bool):
-        raise ValueError("y must be an integer")
-    if not 0 <= y <= n:
-        raise ValueError(f"y must be in [0, {n}], got {y}")
+    check_output(y, n)
     den = log_mixed_moments(dist, np.asarray(float(y)), np.asarray(float(n - y)))
     if not np.isfinite(den):
         raise UndefinedPosteriorError(
@@ -328,12 +324,12 @@ def channel_matrix_logdet(spec: ChannelSpec, support) -> tuple[int, float]:
     Computed by pivoted LU on the explicit matrix.  A sign of 0 flags a
     numerically singular matrix.
     """
-    pts = np.asarray(support, dtype=float)
+    pts = check_x(support)
     n = spec.n
-    if pts.ndim != 1 or len(pts) != n + 1:
+    if np.ndim(pts) != 1 or len(pts) != n + 1:
         raise ValueError(f"support must contain exactly n+1 = {n + 1} points")
-    if np.any(pts < 0.0) or np.any(pts > 1.0) or np.any(np.diff(pts) <= 0):
-        raise ValueError("support points must be strictly increasing in [0, 1]")
+    if not np.all(np.diff(pts) > 0):
+        raise ValueError("support points must be strictly increasing")
     A = np.exp(log_pmf_matrix(spec, pts)).T  # rows indexed by output
     sign, logabs = np.linalg.slogdet(A)
     return int(sign), float(logabs)

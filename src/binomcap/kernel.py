@@ -12,6 +12,7 @@ Everything here is a pure function of its arguments; concurrent use is safe.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
@@ -23,6 +24,40 @@ from scipy.special import xlog1py, xlogy
 MAX_TRIALS = 4096
 
 
+# The library's argument rules, one owner each; the oracles keep their own
+# copies, as the independent reference.
+
+def check_count(value, name: str, least: int = 1):
+    """A count is an integer >= least; a bool is not one.  Returns it."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be >= {least} (an integer), got {value!r}")
+    return value
+
+
+def check_tol(tol, name: str) -> None:
+    """A tolerance is a real number in (0, inf); a bool is not one."""
+    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0 < tol < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {tol}")
+
+
+def check_x(x, interior: bool = False):
+    """A point is in [0, 1], or in (0, 1) where derivatives are taken; NaN
+    fails both.  Returns a float for scalar x, a float array otherwise."""
+    xs = np.asarray(x, dtype=float)
+    ok = (xs > 0.0) & (xs < 1.0) if interior else (xs >= 0.0) & (xs <= 1.0)
+    if not ok.all():
+        where = "strictly inside (0, 1)" if interior else "in [0, 1]"
+        raise ValueError(f"success probability x must be {where}, got {xs[~ok].flat[0]}")
+    return float(xs) if xs.ndim == 0 else xs
+
+
+def check_output(y, n: int):
+    """An output index y is an integer in 0..n; a bool is not one.  Returns it."""
+    if isinstance(y, bool) or not isinstance(y, (int, np.integer)) or not 0 <= y <= n:
+        raise ValueError(f"y must be an integer in [0, {n}], got {y!r}")
+    return y
+
+
 @dataclass(frozen=True)
 class ChannelSpec:
     """Binomial channel with a fixed number of trials."""
@@ -30,22 +65,11 @@ class ChannelSpec:
     n: int
 
     def __post_init__(self):
-        if not isinstance(self.n, (int, np.integer)) or isinstance(self.n, bool):
-            raise ValueError("trial count n must be an integer")
-        if self.n < 1:
-            raise ValueError(f"trial count n must be >= 1, got {self.n}")
-        if self.n > MAX_TRIALS:
+        if check_count(self.n, "trial count n") > MAX_TRIALS:
             raise ValueError(
                 f"n={self.n} exceeds the supported double-precision range "
                 f"(n <= {MAX_TRIALS})"
             )
-
-
-def _check_x(x) -> float:
-    x = float(x)
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"success probability x must be in [0, 1], got {x}")
-    return x
 
 
 @lru_cache(maxsize=64)
@@ -128,22 +152,18 @@ def floored_exp(logP: np.ndarray, out=None) -> np.ndarray:
 
 def log_pmf(spec: ChannelSpec, y: int, x: float) -> float:
     """Log-probability of y successes in n trials at success probability x."""
-    if not isinstance(y, (int, np.integer)) or isinstance(y, bool):
-        raise ValueError("y must be an integer")
-    if not 0 <= y <= spec.n:
-        raise ValueError(f"y must be in [0, {spec.n}], got {y}")
-    return float(log_pmf_matrix(spec, _check_x(x))[0, y])
+    return float(log_pmf_matrix(spec, check_x(float(x)))[0, check_output(y, spec.n)])
 
 
 def pmf_row(spec: ChannelSpec, x: float) -> np.ndarray:
     """Output pmf over y = 0..n for input x; rows sum to 1 within 1e-12."""
-    x = _check_x(x)
+    x = check_x(float(x))
     return np.exp(log_pmf_matrix(spec, x))[0]
 
 
 def binary_entropy(x: float) -> float:
     """-x log x - (1-x) log(1-x), in nats."""
-    x = _check_x(x)
+    x = check_x(float(x))
     return float(-xlogy(x, x) - xlog1py(1.0 - x, -x))
 
 
@@ -155,7 +175,7 @@ def binomial_entropy_exact(spec: ChannelSpec, x: float) -> float:
 
 def binomial_entropy_upper(spec: ChannelSpec, x: float) -> float:
     """Gaussian-style upper bound 0.5 log(2*pi*e*(n x(1-x) + 1/12))."""
-    x = _check_x(x)
+    x = check_x(float(x))
     return 0.5 * math.log(2.0 * math.pi * math.e * (spec.n * x * (1.0 - x) + 1.0 / 12.0))
 
 
@@ -166,7 +186,7 @@ def binomial_entropy_lower(spec: ChannelSpec, x: float) -> float:
     + 0.5*(1-x^n)*log(1-x) - 1, with endpoint values taken termwise by
     the 0 log 0 = 0 convention (both endpoints give -1).
     """
-    x = _check_x(x)
+    x = check_x(float(x))
     n = spec.n
     a = (1.0 - x) ** n
     b = x ** n

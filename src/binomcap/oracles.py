@@ -69,6 +69,7 @@ class ExactSolution:
 
 def exact_solution(n: int) -> ExactSolution:
     """Closed-form capacity and optimal distributions for n in {1, 2, 3}."""
+    _check_count(n, "n", 1)  # True would look up n = 1
     if n not in _TABLE:
         raise ValueError(f"closed-form solution known only for n in {{1, 2, 3}}, got {n}")
     row = _TABLE[n]

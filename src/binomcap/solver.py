@@ -35,7 +35,6 @@ from __future__ import annotations
 import itertools
 import logging
 import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -50,25 +49,13 @@ from .distributions import (
     _info_terms,
     _row_window,
 )
-from .kernel import ChannelSpec, floored_exp, log_pmf_matrix
+from .kernel import ChannelSpec, check_count, check_tol, floored_exp, log_pmf_matrix
 
 log = logging.getLogger(__name__)
 
 _TINY_Q = 1e-300
 _DEAD_WEIGHT = 1e-40   # Blahut-Arimoto weight floor: no weight goes subnormal
 _MERGE_RADIUS = 1e-4   # half-support atoms at most this far apart merge
-
-
-def _check_tol(tol, name: str) -> None:
-    """A tolerance is a real number in (0, inf); a bool is not one."""
-    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0 < tol < math.inf:
-        raise ValueError(f"{name} must be positive and finite, got {tol}")
-
-
-def _check_count(count, name: str) -> None:
-    """An iteration budget is an integer >= 1; a bool is not one."""
-    if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {count!r}")
 
 
 @dataclass(frozen=True)
@@ -80,8 +67,8 @@ class SolverConfig:
     max_outer_iters: int = 200
 
     def __post_init__(self):
-        _check_tol(self.kkt_tol, "kkt_tol")
-        _check_count(self.max_outer_iters, "max_outer_iters")
+        check_tol(self.kkt_tol, "kkt_tol")
+        check_count(self.max_outer_iters, "max_outer_iters")
 
 
 @dataclass(frozen=True)
@@ -199,8 +186,8 @@ def blahut_arimoto(spec: ChannelSpec, grid, tol: float,
     if not (len(grid) >= 2 and np.all(np.diff(grid) > 0) and 0 <= grid[0] and grid[-1] <= 1):
         raise ValueError("support grid must be two or more finite points, strictly "
                          "increasing within [0, 1]")
-    _check_tol(tol, "tol")
-    _check_count(max_iters, "max_iters")
+    check_tol(tol, "tol")
+    check_count(max_iters, "max_iters")
     return BAResult(*_ba_core(spec, grid, tol, max_iters))
 
 
@@ -757,7 +744,7 @@ def _certify(dist: DiscreteInput, spec: ChannelSpec,
     peaks: (x, i) of the refined maxima and of the endpoints that are grid
     maxima, and the log output pmf of dist.
     """
-    _check_tol(tol, "KKT tolerance")
+    check_tol(tol, "KKT tolerance")
     n = spec.n
     logq = log_output_pmf(dist, spec)
     xs = np.union1d(_cert_grid(n), dist.points)

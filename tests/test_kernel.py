@@ -16,6 +16,7 @@ from binomcap import (
     log_pmf,
     pmf_row,
 )
+import binomcap as bc
 from binomcap.kernel import floored_exp, log_binom_coeffs, log_pmf_matrix
 
 
@@ -244,3 +245,77 @@ class TestBinomialEntropy:
             exact = binomial_entropy_exact(spec, x)
             assert binomial_entropy_lower(spec, x) <= exact + 1e-12
             assert exact <= binomial_entropy_upper(spec, x) + 1e-12
+
+
+# The argument rules, one bad input per public entry point.  The rules are
+# written once, in kernel: a count is an integer >= its least value (a bool
+# is not one), a tolerance a real number in (0, inf), a point in [0, 1] or,
+# where derivatives are taken, in (0, 1) (NaN fails both), and an output y
+# an integer in 0..n.  The rows marked "was accepted" took the input, or
+# failed with another error, before the checks had one owner.
+_SPEC2 = ChannelSpec(2)
+_DIST2 = bc.exact_solution(2).input
+_BAD_ARGUMENTS = {
+    # counts
+    "ChannelSpec n = 0": lambda: ChannelSpec(0),
+    "ChannelSpec n = 2.5": lambda: ChannelSpec(2.5),
+    "capacity_upper_bound n = 2.5 (was accepted)": lambda: bc.capacity_upper_bound(2.5),
+    "capacity_lower_bound n = True (was accepted)": lambda: bc.capacity_lower_bound(True),
+    "bounds_report n = 2.5 (was accepted)": lambda: bc.bounds_report(2.5),
+    "dual_bound_term_max n = 0": lambda: bc.dual_bound_term_max(0),
+    "crest_factor_lower_mirror n = 2.5 (was accepted)":
+        lambda: bc.crest_factor_lower_mirror(2.5, 0.3),
+    "crest_factor_lower_endpoints n = True (was accepted)":
+        lambda: bc.crest_factor_lower_endpoints(True, 0.3),
+    "cardinality_upper_via_second_derivative grid_size = 1000.5 (was TypeError)":
+        lambda: bc.cardinality_upper_via_second_derivative(_DIST2, _SPEC2, grid_size=1000.5),
+    "density_curve grid_size = 2": lambda: bc.density_curve(_DIST2, _SPEC2, grid_size=2),
+    "crest_bound_csv grid_size = 2.5 (was TypeError)": lambda: bc.bounds.crest_bound_csv(4, 2.5),
+    "OutputPmf n = True (was accepted)": lambda: bc.OutputPmf([0.5, 0.5], n=True),
+    "exact_solution n = True (was accepted)": lambda: bc.exact_solution(True),
+    "SolverConfig max_outer_iters = 0": lambda: bc.SolverConfig(max_outer_iters=0),
+    "blahut_arimoto max_iters = True":
+        lambda: bc.blahut_arimoto(_SPEC2, [0.0, 0.5, 1.0], 1e-8, max_iters=True),
+    "sweep_capacity n_max = 2.5": lambda: next(bc.sweep_capacity(2.5)),
+    # tolerances
+    "SolverConfig kkt_tol = 0": lambda: bc.SolverConfig(kkt_tol=0.0),
+    "blahut_arimoto tol = nan": lambda: bc.blahut_arimoto(_SPEC2, [0.0, 1.0], math.nan),
+    "report_for_distribution tol = True":
+        lambda: bc.report_for_distribution(_DIST2, _SPEC2, tol=True),
+    "kkt_verify tol = inf": lambda: bc.kkt_verify(
+        bc.report_for_distribution(_DIST2, _SPEC2), _SPEC2, tol=math.inf),
+    "brute_force_grid_capacity grid_points = 101.0":
+        lambda: bc.brute_force_grid_capacity(_SPEC2, 101.0, 1e-6),
+    "cardinality_bounds capacity = nan (was accepted)":
+        lambda: bc.cardinality_bounds(4, math.nan),
+    # points in [0, 1]
+    "pmf_row x = 1.5": lambda: pmf_row(_SPEC2, 1.5),
+    "log_pmf x = nan": lambda: log_pmf(_SPEC2, 1, math.nan),
+    "binary_entropy x = -0.1": lambda: binary_entropy(-0.1),
+    "binomial_entropy_exact x = nan": lambda: binomial_entropy_exact(_SPEC2, math.nan),
+    "binomial_entropy_upper x = 2": lambda: binomial_entropy_upper(_SPEC2, 2.0),
+    "binomial_entropy_lower x = nan": lambda: binomial_entropy_lower(_SPEC2, math.nan),
+    "info_density x = nan": lambda: bc.info_density(
+        math.nan, bc.induce_output(_DIST2, _SPEC2), _SPEC2),
+    "dual_bound_term x = nan (was accepted)": lambda: bc.dual_bound_term(math.nan, 4),
+    "channel_matrix_logdet support with nan (was accepted)":
+        lambda: bc.channel_matrix_logdet(_SPEC2, [0.0, math.nan, 1.0]),
+    "OutputPmf probs nan (was accepted)": lambda: bc.OutputPmf([math.nan, math.nan]),
+    "crest_factor x_star = nan (was accepted)": lambda: bc.crest_factor(
+        bc.report_for_distribution(_DIST2, _SPEC2), math.nan),
+    # points in (0, 1)
+    "info_density_prime x = 0": lambda: bc.info_density_prime(0.0, _DIST2, _SPEC2),
+    "info_density_second x = nan": lambda: bc.info_density_second(math.nan, _DIST2, _SPEC2),
+    "bregman_binomial xhat = 1": lambda: bc.bregman_binomial(0.3, 1.0),
+    "crest_factor_lower_endpoints x = 0": lambda: bc.crest_factor_lower_endpoints(4, 0.0),
+    "crest_factor_lower_mirror x = nan": lambda: bc.crest_factor_lower_mirror(4, math.nan),
+    # outputs y in 0..n
+    "log_pmf y = 3 at n = 2": lambda: log_pmf(_SPEC2, 3, 0.5),
+    "posterior_mean y = True": lambda: bc.posterior_mean(_DIST2, _SPEC2, True),
+}
+
+
+@pytest.mark.parametrize("call", _BAD_ARGUMENTS.values(), ids=_BAD_ARGUMENTS.keys())
+def test_argument_rules_reject(call):
+    with pytest.raises(ValueError):
+        call()

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from binomcap import oracles
+from binomcap import bounds, oracles
 from binomcap.kernel import log_pmf_matrix
 from binomcap import (
     ChannelSpec,
@@ -294,3 +294,17 @@ def test_oracle_shares_only_the_pmf_with_the_library():
                 kernel_names |= names
     assert kernel_names <= {"ChannelSpec", "log_pmf_matrix"}
     assert "log_pmf_matrix" in kernel_names
+
+
+def test_bounds_import_nothing_from_the_solver():
+    # the closed-form and explicit bounds are checks on the solver, so they
+    # may not take a name from it
+    tree = ast.parse((Path(bounds.__file__)).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                assert alias.name.split(".")[-1] != "solver", alias.name
+        elif isinstance(node, ast.ImportFrom):
+            names = {alias.name for alias in node.names}
+            assert (node.module or "").split(".")[-1] != "solver", ast.dump(node)
+            assert "solver" not in names, ast.dump(node)
