@@ -17,14 +17,15 @@ import sys
 import numpy as np
 
 from . import bounds as bounds_mod
-from . import solver
+from . import certificate, solver
+from .certificate import report_for_distribution
 from .density import density_curve
 from .distributions import DiscreteInput
 from .kernel import ChannelSpec, binomial_entropy_exact, binomial_entropy_lower, \
     binomial_entropy_upper, check_count
 from .oracles import exact_solution
 from .serialize import atomic_write, csv_text, dumps, format_real
-from .solver import SolverConfig, report_for_distribution, solve_capacity
+from .solver import SolverConfig, solve_capacity
 
 _LN2 = float(np.log(2.0))
 
@@ -152,7 +153,7 @@ def _cmd_verify(args) -> int:
     with open(args.dist) as fh:
         payload = json.load(fh)
     dist = DiscreteInput.from_dict(payload)
-    summary = solver._certify(dist, ChannelSpec(args.n), args.kkt_tol)[0]
+    summary = certificate._certify(dist, ChannelSpec(args.n), args.kkt_tol)[0]
     _emit(args, dumps(vars(summary)) + "\n")
     _bits_note(args, summary.capacity_nats, args.n)
     return 0

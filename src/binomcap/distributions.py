@@ -131,6 +131,8 @@ def kl_divergence(p, q) -> float:
     q = np.asarray(q, dtype=float)
     if p.shape != q.shape:
         raise ValueError(f"length mismatch: {p.shape} vs {q.shape}")
+    if not np.all((p >= 0.0) & (p < np.inf) & (q >= 0.0) & (q < np.inf)):  # NaN fails it
+        raise ValueError("probabilities must be finite and nonnegative")
     if np.any((p > 0) & (q == 0)):
         return float("inf")
     mask = p > 0
@@ -276,8 +278,10 @@ def _info_density_against_logq(spec: ChannelSpec, xs, logq: np.ndarray,
 
 def info_density(x, out: OutputPmf, spec: ChannelSpec):
     """Information density i(x; P_Y) = D(P(.|x) || P_Y); scalar or array x
-    in [0, 1]."""
+    in [0, 1]; out must be a pmf of spec's channel."""
     xs = check_x(x)
+    if out.n != spec.n:
+        raise ValueError(f"output pmf is for n = {out.n}, spec for n = {spec.n}")
     with np.errstate(divide="ignore"):
         logq = np.log(out.probs)
     vals = _info_density_against_logq(spec, xs, logq)

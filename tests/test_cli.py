@@ -95,15 +95,21 @@ class TestVerifyCommand:
         assert payload["kkt_slack"] > 0
         assert payload["flags"]["kkt_equality"] is False
 
-    def test_round_trip_reproduces_slack(self, capsys, tmp_path):
+    def test_round_trip_reproduces_slack(self, capsys, tmp_path, solved):
+        # verify on a solve JSON repeats the solve's certificate bit for bit
         report_path = tmp_path / "solved.json"
-        code, _, _ = run_cli(capsys, "solve", "--n", "3", "--output", str(report_path))
-        assert code == 0
-        solved = json.loads(report_path.read_text())
-        code, out, _ = run_cli(capsys, "verify", "--n", "3", "--dist", str(report_path))
-        assert code == 0
-        verified = json.loads(out)
-        assert abs(verified["kkt_slack"] - solved["kkt_slack"]) <= 1e-12
+        for n in (3, 64):
+            report = solved(n).to_dict()
+            report_path.write_text(dumps(report))
+            code, out, _ = run_cli(capsys, "verify", "--n", str(n), "--dist", str(report_path))
+            assert code == 0
+            verified = json.loads(out)
+            for key in ("capacity_nats", "kkt_slack"):
+                assert verified[key] == report[key]
+            assert verified["equality_defect"] == report["flags"]["equality_defect"]
+            assert len(verified["flags"]) == 9
+            for flag, value in verified["flags"].items():
+                assert report["flags"][flag] is value
 
     @pytest.mark.parametrize("n, source", [(64, "solve"), (1024, "random")])
     def test_output_is_the_summary(self, capsys, tmp_path, solved, n, source):
@@ -149,16 +155,14 @@ class TestVerifyCommand:
             assert "finite" in err
 
     def test_certifies_once(self, capsys, tmp_path, monkeypatch):
-        import binomcap.solver
-
         calls = []
-        certify = binomcap.solver._certify
+        certify = cli.certificate._certify
 
         def counted(*args, **kwargs):
             calls.append(args)
             return certify(*args, **kwargs)
 
-        monkeypatch.setattr(binomcap.solver, "_certify", counted)
+        monkeypatch.setattr(cli.certificate, "_certify", counted)
         dist = tmp_path / "dist.json"
         dist.write_text(json.dumps({"points": [0.0, 0.5, 1.0],
                                     "weights": [0.3, 0.4, 0.3]}))

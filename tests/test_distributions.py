@@ -19,6 +19,7 @@ from binomcap import (
     posterior_mean,
 )
 from binomcap import distributions
+from binomcap.certificate import _cert_grid
 from binomcap.distributions import (
     _CHUNK_CELLS,
     _bernstein_window,
@@ -29,7 +30,6 @@ from binomcap.distributions import (
     log_output_pmf,
 )
 from binomcap.kernel import log_binom_coeffs, log_pmf_matrix
-from binomcap.solver import _cert_grid
 from conditional_means import isecond_moment_ratio_form
 
 

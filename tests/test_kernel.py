@@ -297,6 +297,8 @@ _BAD_ARGUMENTS = {
     "binomial_entropy_lower x = nan": lambda: binomial_entropy_lower(_SPEC2, math.nan),
     "info_density x = nan": lambda: bc.info_density(
         math.nan, bc.induce_output(_DIST2, _SPEC2), _SPEC2),
+    "info_density pmf of n = 2048 at n = 1024 (was accepted)": lambda: bc.info_density(
+        0.5, bc.induce_output(_DIST2, ChannelSpec(2048)), ChannelSpec(1024)),
     "dual_bound_term x = nan (was accepted)": lambda: bc.dual_bound_term(math.nan, 4),
     "channel_matrix_logdet support with nan (was accepted)":
         lambda: bc.channel_matrix_logdet(_SPEC2, [0.0, math.nan, 1.0]),
@@ -309,6 +311,13 @@ _BAD_ARGUMENTS = {
     "bregman_binomial xhat = 1": lambda: bc.bregman_binomial(0.3, 1.0),
     "crest_factor_lower_endpoints x = 0": lambda: bc.crest_factor_lower_endpoints(4, 0.0),
     "crest_factor_lower_mirror x = nan": lambda: bc.crest_factor_lower_mirror(4, math.nan),
+    # probabilities: finite and nonnegative
+    "kl_divergence p with nan (was accepted)":
+        lambda: bc.kl_divergence([math.nan, 1.0], [0.5, 0.5]),
+    "kl_divergence q with nan (was accepted)":
+        lambda: bc.kl_divergence([0.5, 0.5], [math.nan, 1.0]),
+    "kl_divergence p negative (was accepted)":
+        lambda: bc.kl_divergence([-0.5, 1.5], [0.5, 0.5]),
     # outputs y in 0..n
     "log_pmf y = 3 at n = 2": lambda: log_pmf(_SPEC2, 3, 0.5),
     "posterior_mean y = True": lambda: bc.posterior_mean(_DIST2, _SPEC2, True),

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from binomcap import bounds, oracles
+from binomcap import bounds, certificate, oracles, solver
 from binomcap.kernel import log_pmf_matrix
 from binomcap import (
     ChannelSpec,
@@ -308,3 +308,25 @@ def test_bounds_import_nothing_from_the_solver():
             names = {alias.name for alias in node.names}
             assert (node.module or "").split(".")[-1] != "solver", ast.dump(node)
             assert "solver" not in names, ast.dump(node)
+
+
+def test_certificate_imports_only_kernel_and_distributions():
+    # the certificate checks the solver's answers and any user's input; it
+    # stands below the solver, so the bounds can call it without the solver
+    tree = ast.parse((Path(certificate.__file__)).read_text())
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not any(a.name.startswith("binomcap") for a in node.names), ast.dump(node)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""  # `from . import x` names no module
+            if node.level or module.startswith("binomcap"):
+                modules.add(module.removeprefix("binomcap."))
+    assert modules == {"kernel", "distributions"}
+
+
+def test_solver_defines_no_certificate():
+    tree = ast.parse((Path(solver.__file__)).read_text())
+    defined = {node.name for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert not defined & {"_certify", "_cert_grid", "_refine_peaks", "KktSummary"}

@@ -24,7 +24,7 @@ from binomcap import (
     report_for_distribution,
     solve_capacity,
 )
-from binomcap import solver
+from binomcap import certificate, solver
 from binomcap.serialize import dumps
 from binomcap.distributions import _info_density_against_logq
 from binomcap.kernel import _output_counts
@@ -1001,7 +1001,7 @@ class TestCertificate:
         spec = ChannelSpec(n)
         rng = np.random.default_rng(n + 1)
         widths = []
-        window = solver._row_window
+        window = certificate._row_window
 
         def spy(n, lo, hi):
             start, w = window(n, lo, hi)
@@ -1010,10 +1010,10 @@ class TestCertificate:
 
         for _ in range(5):
             dist = _random_symmetric_input(rng)
-            monkeypatch.setattr(solver, "_row_window", spy)
-            _, x, i, _ = solver._certify(dist, spec, 1e-8)
-            monkeypatch.setattr(solver, "_row_window", lambda n, lo, hi: (None, 0))
-            _, full_x, full_i, _ = solver._certify(dist, spec, 1e-8)
+            monkeypatch.setattr(certificate, "_row_window", spy)
+            _, x, i, _ = certificate._certify(dist, spec, 1e-8)
+            monkeypatch.setattr(certificate, "_row_window", lambda n, lo, hi: (None, 0))
+            _, full_x, full_i, _ = certificate._certify(dist, spec, 1e-8)
             assert np.array_equal(x, full_x) and np.array_equal(i, full_i)
         assert min(widths) > 0  # every refinement round ran on the window
 
@@ -1023,14 +1023,14 @@ class TestCertificate:
         # there took 17 rounds
         spec, dist = ChannelSpec(256), solved(256).input
         rounds = []
-        kernel = solver.log_pmf_matrix
+        kernel = certificate.log_pmf_matrix
 
         def spy(*args):
             rounds.append(1)
             return kernel(*args)
 
-        monkeypatch.setattr(solver, "log_pmf_matrix", spy)
-        summary = solver._certify(dist, spec, 1e-8)[0]
+        monkeypatch.setattr(certificate, "log_pmf_matrix", spy)
+        summary = certificate._certify(dist, spec, 1e-8)[0]
         assert len(rounds) <= 5
         assert summary.kkt_slack <= 1e-12
 
